@@ -5,7 +5,9 @@ Counts print in full decimal, gadget subcommands emit canonical circuit
 text plus one JSON audit line, and identical invocations produce identical
 stdout (selftest included, given a seed). Exit codes: 0 success (and a
 "yes" dmax verdict), 1 a "no" dmax verdict or failed selftest, 2 bad input,
-3 enumeration limit exceeded.
+3 enumeration limit exceeded, 4 internal failure (any other exception, for
+example a recursion limit hit on a very deep input), reported as one
+``error: internal failure: ...`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import hashlib
 import json
 import sys
-import time
 from dataclasses import dataclass, field
 
 from .counting import (
@@ -35,16 +36,14 @@ from .solver import SplitInstance, dmax_decide, dmax_pruned, max_count, parse_bl
 class RunReport:
     """One invocation's outcome.
 
-    ``lines`` is exactly what goes to stdout; wall time and the input
-    digest stay out of it so reruns are byte-identical.
+    ``lines`` is exactly what goes to stdout; the input digest stays out of
+    it so reruns are byte-identical.
     """
 
     command: str
     digest: str
     lines: list[str] = field(default_factory=list)
-    audit: list[dict] = field(default_factory=list)
     exit_code: int = 0
-    wall_time: float = 0.0
 
 
 def _digest(*parts: object) -> str:
@@ -62,7 +61,6 @@ def _file_bytes(path: str) -> bytes:
 
 def _emit_formula(args, report: RunReport, formula, audit: dict) -> None:
     text = print_circuit(formula)
-    report.audit.append(audit)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -339,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    started = time.perf_counter()
     try:
         report = args.handler(args)
     except ScopeLimitError as exc:
@@ -348,7 +345,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report.wall_time = time.perf_counter() - started
+    except Exception as exc:
+        # never a traceback, and never exit 1, which reads as a "no" verdict
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal failure: {detail}", file=sys.stderr)
+        return 4
     for line in report.lines:
         print(line)
     return report.exit_code

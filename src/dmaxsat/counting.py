@@ -7,7 +7,9 @@ Two engines with identical semantics:
   against, so it stays free of pruning, sharing, and shortcuts.
 * :func:`count_fast` splits on the lowest undetermined variable, propagates
   constants through the circuit, and memoizes counts per restricted
-  sub-circuit. Unused scope variables contribute a factor two each.
+  sub-circuit. Unused scope variables contribute a factor two each. Its
+  search is :func:`count_suffix`, which the chooser solver also uses to
+  keep one memo across a whole branch-and-bound search.
 
 Counts are plain Python integers, so gadget outputs far beyond machine-word
 range are exact.
@@ -38,6 +40,27 @@ def count_bruteforce(f: Formula, limit: int = DEFAULT_LIMIT) -> int:
     return total
 
 
+def count_suffix(node: Node, lo: int, scope: int, memo: dict[Node, int]) -> int:
+    """Models of ``node`` over variables lo..scope, by variable splitting.
+
+    ``node`` must mention no variable below ``lo``. The search splits on the
+    lowest-indexed undetermined variable and stores the count of every
+    residue it meets in ``memo``, normalized to the residue's own lowest
+    variable. Every entry is a count over the same ``scope``, so callers may
+    share one memo across many calls for that scope.
+    """
+    if node.min_var == 0:
+        # variable-free subtree: a constant, possibly still unfolded
+        return (1 << (scope - lo + 1)) if node.eval_mask(0) else 0
+    v = node.min_var
+    cached = memo.get(node)
+    if cached is None:
+        low = count_suffix(node.restrict(v, False), v + 1, scope, memo)
+        cached = low + count_suffix(node.restrict(v, True), v + 1, scope, memo)
+        memo[node] = cached
+    return cached << (v - lo)
+
+
 def count_fast(f: Formula) -> int:
     """Model count by variable splitting with residue memoization.
 
@@ -45,24 +68,7 @@ def count_fast(f: Formula) -> int:
     picks the lowest-indexed undetermined variable, so traces are
     reproducible; the memo table lives only for this invocation.
     """
-    scope = f.scope
-    memo: dict[Node, int] = {}
-
-    def over_suffix(node: Node, lo: int) -> int:
-        # models of node over variables lo..scope; node mentions none below lo
-        if node.min_var == 0:
-            # variable-free subtree: a constant, possibly still unfolded
-            return (1 << (scope - lo + 1)) if node.eval_mask(0) else 0
-        v = node.min_var
-        cached = memo.get(node)
-        if cached is None:
-            cached = over_suffix(node.restrict(v, False), v + 1) + over_suffix(
-                node.restrict(v, True), v + 1
-            )
-            memo[node] = cached
-        return cached << (v - lo)
-
-    return over_suffix(f.node, 1)
+    return count_suffix(f.node, 1, f.scope, {})
 
 
 def threshold_check(f: Formula, bound: int) -> bool:

@@ -2,9 +2,18 @@
 
 A split instance partitions a formula's scope into a chooser block x and a
 counted block y. The decision problem asks for an x whose y-count reaches a
-bound; the optimization problem asks for the x maximizing that count. Both
-engines return the lexicographically least qualifying chooser assignment,
+bound; the optimization problem asks for the x maximizing that count. Every
+engine returns the lexicographically least qualifying chooser assignment,
 which makes differential testing exact.
+
+:func:`max_count` and :func:`dmax_pruned` share one engine: a depth-first
+branch and bound over the chooser block, False before True. It relabels the
+instance once so that the chooser block comes first, and one splitting
+counter (:func:`dmaxsat.counting.count_suffix`) with one memo serves the
+whole search, so after the root count every prefix's residual is a memo
+lookup. Deciding prunes with the instance's fixed bound; maximizing prunes
+with incumbent + 1. :func:`dmax_decide` is the unpruned reference: it
+enumerates the chooser block and counts each assignment on its own.
 """
 
 from __future__ import annotations
@@ -12,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .counting import DEFAULT_LIMIT, ScopeLimitError, count_fast
-from .formula import Formula
+from .counting import DEFAULT_LIMIT, ScopeLimitError, count_fast, count_suffix
+from .formula import And, Formula, Node, Not, Or, Var
 
 
 @dataclass(frozen=True)
@@ -100,10 +109,6 @@ def count_given_x(instance: SplitInstance, x_assignment: Sequence[bool]) -> int:
             f"{len(instance.x_vars)} chooser variables"
         )
     fixed = {v: bool(b) for v, b in zip(instance.x_vars, x_assignment)}
-    return _count_under(instance, fixed)
-
-
-def _count_under(instance: SplitInstance, fixed: dict[int, bool]) -> int:
     # the substituted tree no longer mentions the fixed variables, so the
     # full-scope count overshoots by exactly 2**len(fixed)
     restricted = instance.formula.node.substitute(fixed)
@@ -135,8 +140,9 @@ def dmax_decide(
 ) -> Witness | None:
     """Lexicographically least chooser reaching the bound, or None.
 
-    Plain enumeration of the chooser block in lexicographic order; the
-    reference engine that :func:`dmax_pruned` is tested against.
+    Plain enumeration of the chooser block in lexicographic order, with a
+    fresh :func:`count_given_x` per assignment and no pruning; the reference
+    engine that :func:`dmax_pruned` and :func:`max_count` are tested against.
     """
     bound = _required_bound(instance)
     _check_limits(instance, limit)
@@ -148,13 +154,16 @@ def dmax_decide(
 
 
 def max_count(instance: SplitInstance, limit: int = DEFAULT_LIMIT) -> Witness:
-    """The chooser maximizing the y-count; ties go to the lexicographically least."""
+    """The chooser maximizing the y-count; ties go to the lexicographically least.
+
+    Runs the branch-and-bound search of :func:`_search` with a moving bound
+    of incumbent + 1: a partial assignment whose residual count cannot beat
+    the best leaf found so far is abandoned, and only a strictly better leaf
+    replaces the incumbent, so the first maximizing leaf in lexicographic
+    order is kept.
+    """
     _check_limits(instance, limit)
-    best: Witness | None = None
-    for values in _lex_assignments(len(instance.x_vars)):
-        achieved = count_given_x(instance, values)
-        if best is None or achieved > best.achieved:
-            best = Witness(values, achieved)
+    best = _search(instance, None)
     assert best is not None
     return best
 
@@ -164,34 +173,85 @@ def dmax_pruned(
 ) -> Witness | None:
     """Same contract as :func:`dmax_decide`, with residual-count pruning.
 
-    Depth-first over partial chooser assignments in variable order. At each
-    node the count over all still-free variables (unassigned x plus all y)
-    is the sum over the free chooser completions of their y-counts, so it
-    bounds the best completion from above; a partial assignment whose
-    residual count falls below the bound is abandoned wholesale. The leaf
-    residual is the achieved count itself, so the first surviving leaf in
-    depth-first order is exactly the witness dmax_decide returns.
+    Runs the branch-and-bound search of :func:`_search` with the instance's
+    fixed bound. The leaf residual is the achieved count itself, so the
+    first surviving leaf in depth-first order is exactly the witness
+    dmax_decide returns.
     """
     bound = _required_bound(instance)
     _check_limits(instance, limit)
-    xs = instance.x_vars
+    return _search(instance, bound)
 
-    def descend(
-        depth: int, fixed: dict[int, bool], values: list[bool]
-    ) -> Witness | None:
-        residual = _count_under(instance, fixed)
-        if residual < bound:
-            return None
-        if depth == len(xs):
-            return Witness(tuple(values), residual)
-        for value in (False, True):
-            fixed[xs[depth]] = value
-            values.append(value)
-            found = descend(depth + 1, fixed, values)
-            if found is not None:
-                return found
-            values.pop()
-            del fixed[xs[depth]]
-        return None
 
-    return descend(0, {}, [])
+def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
+    """Depth-first branch and bound over the chooser block, False before True.
+
+    The instance is relabelled once so that x_vars[i] becomes variable i+1
+    and the y block follows. The splitting counter then branches on the
+    chooser block first, and the residual of every chooser prefix is a
+    residue of one splitting count: after the root count fills the shared
+    memo, each child's residual is a memo lookup. The residual (the count
+    over all still-free variables, unassigned x plus all y) sums the
+    y-counts of the free chooser completions, so it bounds the best of them;
+    a prefix whose residual is below the bound is abandoned wholesale.
+
+    With a fixed ``bound`` the first leaf reaching it is returned (or None);
+    with ``bound=None`` the bound is incumbent + 1 and the search runs to
+    the end, returning the lexicographically least maximizing leaf.
+    """
+    k = len(instance.x_vars)
+    scope = instance.formula.scope
+    memo: dict[Node, int] = {}
+    best: Witness | None = None
+    # entries are (parent residue, chooser values including the new one);
+    # the True sibling sits below the False one, so False is explored first
+    stack: list[tuple[Node, tuple[bool, ...]]] = [(_relabel(instance), ())]
+    while stack:
+        node, values = stack.pop()
+        depth = len(values)
+        if depth:
+            node = node.restrict(depth, values[-1])
+        residual = count_suffix(node, depth + 1, scope, memo)
+        if bound is not None:
+            need = bound
+        else:
+            need = 0 if best is None else best.achieved + 1
+        if residual < need:
+            continue
+        if depth == k:
+            best = Witness(values, residual)
+            if bound is not None:
+                break
+            continue
+        stack.append((node, values + (True,)))
+        stack.append((node, values + (False,)))
+    return best
+
+
+def _relabel(instance: SplitInstance) -> Node:
+    # x_vars[i] becomes i + 1 and the y block follows in ascending order;
+    # the tree is reused when nothing moves
+    order = instance.x_vars + tuple(sorted(instance.y_vars))
+    index = {v: i for i, v in enumerate(order, 1)}
+    root = instance.formula.node
+    if all(v == i for v, i in index.items()):
+        return root
+    return _renamed(root, index, {})
+
+
+def _renamed(node: Node, index: dict[int, int], done: dict[int, Node]) -> Node:
+    # done maps id(original) to its copy, so shared subtrees stay shared
+    out = done.get(id(node))
+    if out is None:
+        if node.min_var == 0:
+            out = node
+        elif isinstance(node, Var):
+            out = Var(index[node.index])
+        elif isinstance(node, Not):
+            out = Not(_renamed(node.child, index, done))
+        else:
+            assert isinstance(node, (And, Or))
+            left = _renamed(node.left, index, done)
+            out = type(node)(left, _renamed(node.right, index, done))
+        done[id(node)] = out
+    return out

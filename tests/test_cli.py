@@ -8,6 +8,7 @@ import pytest
 
 from dmaxsat import count_bruteforce, k_value, parse_circuit, unpack_digits
 from dmaxsat.cli import main
+import dmaxsat.cli
 import dmaxsat.selftest
 
 
@@ -59,6 +60,29 @@ def test_count_exit_codes(run, files):
     assert code == 3 and "limit" in err
     code, _, err = run("count", files["plain.txt"])
     assert code == 2 and "format" in err
+
+
+def test_internal_failure_exits_4_without_traceback(run, files, monkeypatch):
+    def broken(args):
+        raise KeyError("forced failure")
+
+    monkeypatch.setattr(dmaxsat.cli, "cmd_count", broken)
+    code, out, err = run("count", files["or2.ckt"])
+    assert (code, out) == (4, "")
+    assert err == "error: internal failure: KeyError: 'forced failure'\n"
+
+
+def test_deep_chain_is_counted_or_reported(run, tmp_path):
+    # an implication chain x1 -> x2 -> ... -> x1501 has 1501 models; whether
+    # or not the counter can walk that deep, the outcome is never exit 1
+    links = "".join(f"-{i} {i + 1} 0\n" for i in range(1, 1501))
+    path = tmp_path / "chain.cnf"
+    path.write_text(f"p cnf 1501 1500\n{links}")
+    code, out, err = run("count", str(path))
+    assert (code, out) in ((0, "1501\n"), (4, ""))
+    if code == 4:
+        assert err.startswith("error: internal failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_size_command(run, files):

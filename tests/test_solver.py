@@ -180,7 +180,8 @@ def test_engines_match_oracle_on_random_instances(seed):
     values, achieved = _oracle_best(instance)
     top = max_count(instance)
     assert (top.values, top.achieved) == (values, achieved)
-    for bound in (0, achieved, achieved + 1):
+    drawn = rng.randint(0, (1 << len(instance.y_vars)) + 1)
+    for bound in (0, achieved, achieved + 1, drawn):
         bounded = dataclasses.replace(instance, bound=bound)
         plain = dmax_decide(bounded)
         pruned = dmax_pruned(bounded)
@@ -189,6 +190,24 @@ def test_engines_match_oracle_on_random_instances(seed):
         if plain is not None:
             assert plain.achieved >= bound
             assert count_given_x(instance, plain.values) == plain.achieved
+
+
+def test_shared_subtree_under_unsorted_chooser_block():
+    # one subtree object over y appears under several chooser prefixes, and
+    # neither block is listed in ascending order
+    shared = Or(Var(2), And(Var(4), Not(Var(5))))
+    node = Or(
+        And(Var(3), And(Var(1), shared)),
+        And(Not(Var(3)), Or(And(Var(1), shared), And(Not(Var(1)), Var(4)))),
+    )
+    instance = SplitInstance(Formula(node, 5), (3, 1), (5, 2, 4))
+    values, achieved = _oracle_best(instance)
+    assert max_count(instance) == Witness(values, achieved)
+    for bound in range((1 << 3) + 2):
+        bounded = dataclasses.replace(instance, bound=bound)
+        plain = dmax_decide(bounded)
+        assert dmax_pruned(bounded) == plain
+        assert (plain is not None) == (bound <= achieved)
 
 
 def test_monotonicity_in_the_bound():
