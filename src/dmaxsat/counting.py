@@ -6,10 +6,21 @@ Two engines with identical semantics:
   the trusted oracle every other contract in this package is checked
   against, so it stays free of pruning, sharing, and shortcuts.
 * :func:`count_fast` splits on the lowest undetermined variable, propagates
-  constants through the circuit, and memoizes counts per restricted
-  sub-circuit. Unused scope variables contribute a factor two each. Its
-  search is :func:`count_suffix`, which the chooser solver also uses to
-  keep one memo across a whole branch-and-bound search.
+  constants, and memoizes the count of every residue it meets. Unused
+  scope variables contribute a factor two each.
+
+A residue is the circuit's top-level conjunction held flat: a tuple of its
+conjuncts, none of them an ``And`` or free of variables, sorted by
+``(min_var, hash_)``. Because the search always splits on the residue's
+lowest variable v, only its leading conjuncts (those with ``min_var == v``)
+can mention v; a split restricts just those, flattens what they become
+into the untouched tail in sorted order, so the rest of the circuit is
+never rebuilt. :func:`count_residue` is the one splitting search. It runs
+on an explicit stack, so the number of variables never meets the
+interpreter's recursion limit, and takes an optional cap:
+:func:`count_fast` runs it uncapped, :func:`threshold_check` capped at the
+bound, and the chooser solver shares one memo of it across a whole
+branch-and-bound search.
 
 Counts are plain Python integers, so gadget outputs far beyond machine-word
 range are exact.
@@ -17,9 +28,16 @@ range are exact.
 
 from __future__ import annotations
 
-from .formula import Formula, Node
+from bisect import insort
+from operator import attrgetter
+
+from .formula import FALSE, TRUE, And, Formula, Node
 
 DEFAULT_LIMIT = 24
+
+Residue = tuple[Node, ...]
+
+_ORDER = attrgetter("min_var", "hash_")
 
 
 class ScopeLimitError(RuntimeError):
@@ -40,25 +58,123 @@ def count_bruteforce(f: Formula, limit: int = DEFAULT_LIMIT) -> int:
     return total
 
 
-def count_suffix(node: Node, lo: int, scope: int, memo: dict[Node, int]) -> int:
-    """Models of ``node`` over variables lo..scope, by variable splitting.
+def _flatten(pending: list[Node], out: list[Node]) -> bool:
+    # moves the conjuncts of the pending nodes into out: And nodes are
+    # opened, variable-free conjuncts evaluated; False when one is false
+    while pending:
+        node = pending.pop()
+        if type(node) is And:
+            pending.append(node.right)
+            pending.append(node.left)
+        elif node.min_var == 0:
+            if not node.eval_mask(0):
+                return False
+        else:
+            out.append(node)
+    return True
 
-    ``node`` must mention no variable below ``lo``. The search splits on the
-    lowest-indexed undetermined variable and stores the count of every
-    residue it meets in ``memo``, normalized to the residue's own lowest
-    variable. Every entry is a count over the same ``scope``, so callers may
-    share one memo across many calls for that scope.
+
+def residue_of(node: Node) -> Residue | None:
+    """The conjuncts of ``node`` in search order, or None if one is false."""
+    out: list[Node] = []
+    if not _flatten([node], out):
+        return None
+    out.sort(key=_ORDER)
+    return tuple(out)
+
+
+def split_residue(residue: Residue, v: int, value: bool) -> Residue | None:
+    """``residue`` with variable ``v`` set to ``value``; None when false.
+
+    No conjunct may mention a variable below ``v``. Conjuncts that do not
+    mention ``v`` are shared with ``residue``, which comes back unchanged
+    when none does.
     """
-    if node.min_var == 0:
-        # variable-free subtree: a constant, possibly still unfolded
-        return (1 << (scope - lo + 1)) if node.eval_mask(0) else 0
-    v = node.min_var
-    cached = memo.get(node)
-    if cached is None:
-        low = count_suffix(node.restrict(v, False), v + 1, scope, memo)
-        cached = low + count_suffix(node.restrict(v, True), v + 1, scope, memo)
-        memo[node] = cached
-    return cached << (v - lo)
+    fresh: list[Node] = []
+    j = 0
+    for c in residue:
+        if c.min_var != v:
+            break
+        j += 1
+        c = c.restrict(v, value)
+        if c is FALSE:
+            return None
+        if c is not TRUE:
+            fresh.append(c)
+    if not j:
+        return residue
+    if not fresh:
+        return residue[j:]
+    kept: list[Node] = []
+    if not _flatten(fresh, kept):
+        return None
+    out = list(residue[j:])
+    for c in kept:
+        insort(out, c, key=_ORDER)
+    return tuple(out)
+
+
+def count_residue(
+    residue: Residue | None,
+    lo: int,
+    scope: int,
+    memo: dict[Residue, int],
+    cap: int | None,
+) -> int:
+    """Models of ``residue`` over variables lo..scope, by variable splitting.
+
+    ``residue`` (None for false) must mention no variable below ``lo``.
+    The search splits on the lowest variable, False before True, and stores
+    the exact count of every residue it finishes in ``memo``, normalized to
+    the residue's own lowest variable. Every entry is a count over the same
+    ``scope``, so callers may share one memo across many calls for that
+    scope. With ``cap`` None the result is exact. With a positive ``cap``
+    it is exact when below ``cap`` and at least ``cap`` otherwise: a branch
+    that reaches its share of the cap ends its parent's split, and only
+    exact counts enter ``memo``.
+    """
+    # one frame per open split: [residue, v, lo, cap, cap over v..scope,
+    # count of the False branch or None while that branch is open]
+    frames: list[list] = []
+    while True:
+        if residue is None:
+            value = 0
+        elif not residue:
+            value = 1 << (scope - lo + 1)
+        else:
+            v = residue[0].min_var
+            exact = memo.get(residue)
+            if exact is None:
+                sub_cap = None if cap is None else ((cap - 1) >> (v - lo)) + 1
+                frames.append([residue, v, lo, cap, sub_cap, None])
+                residue = split_residue(residue, v, False)
+                lo, cap = v + 1, sub_cap
+                continue
+            value = exact << (v - lo)
+        # hand value to the innermost open split until one needs its True
+        # branch searched
+        while frames:
+            frame = frames[-1]
+            parent, v, parent_lo, parent_cap, sub_cap, low = frame
+            if low is None:
+                if sub_cap is not None and value >= sub_cap:
+                    frames.pop()
+                    value = parent_cap
+                    continue
+                frame[5] = value
+                residue = split_residue(parent, v, True)
+                lo = v + 1
+                cap = None if sub_cap is None else sub_cap - value
+                break
+            frames.pop()
+            if sub_cap is not None and value >= sub_cap - low:
+                value = parent_cap
+                continue
+            memo[parent] = low + value
+            # low + value < sub_cap, so a capped result stays exact
+            value = (low + value) << (v - parent_lo)
+        else:
+            return value
 
 
 def count_fast(f: Formula) -> int:
@@ -68,45 +184,16 @@ def count_fast(f: Formula) -> int:
     picks the lowest-indexed undetermined variable, so traces are
     reproducible; the memo table lives only for this invocation.
     """
-    return count_suffix(f.node, 1, f.scope, {})
+    return count_residue(residue_of(f.node), 1, f.scope, {}, None)
 
 
 def threshold_check(f: Formula, bound: int) -> bool:
     """Decide count(f) >= bound, stopping once the answer is forced.
 
-    Runs the same splitting search as :func:`count_fast` but saturates at
-    the bound: a branch that provably reaches the remaining requirement
-    ends the search. Only exact residue counts enter the memo table.
+    Runs the search of :func:`count_fast` capped at the bound: a branch
+    that provably reaches the remaining requirement ends the search. Only
+    exact residue counts enter the memo table.
     """
     if bound <= 0:
         return True
-    scope = f.scope
-    memo: dict[Node, int] = {}
-
-    def capped(node: Node, lo: int, cap: int) -> int:
-        # returns cap when the suffix count provably reaches cap, else the
-        # exact suffix count (which is then < cap); requires cap >= 1
-        if node.min_var == 0:
-            # variable-free subtree: a constant, possibly still unfolded
-            if not node.eval_mask(0):
-                return 0
-            full = 1 << (scope - lo + 1)
-            return cap if full >= cap else full
-        v = node.min_var
-        shift = v - lo
-        exact = memo.get(node)
-        if exact is not None:
-            value = exact << shift
-            return cap if value >= cap else value
-        node_cap = ((cap - 1) >> shift) + 1
-        low = capped(node.restrict(v, False), v + 1, node_cap)
-        if low >= node_cap:
-            return cap
-        high = capped(node.restrict(v, True), v + 1, node_cap - low)
-        if high >= node_cap - low:
-            return cap
-        memo[node] = low + high
-        # low + high < ceil(cap / 2**shift), so the shifted value is exact
-        return (low + high) << shift
-
-    return capped(f.node, 1, bound) >= bound
+    return count_residue(residue_of(f.node), 1, f.scope, {}, bound) >= bound

@@ -8,8 +8,9 @@ runs are reproducible from the seed alone.
 from __future__ import annotations
 
 import random
+from functools import reduce
 
-from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var
+from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var, and_all, or_all
 from .solver import SplitInstance
 
 
@@ -31,6 +32,36 @@ def random_node(rng: random.Random, scope: int, ops: int) -> Node:
 def random_formula(rng: random.Random, scope: int, max_ops: int) -> Formula:
     """A random formula of the given scope with at most ``max_ops`` operators."""
     return Formula(random_node(rng, scope, rng.randint(0, max_ops)), scope)
+
+
+def random_cnf(rng: random.Random, scope: int, clauses: int) -> Formula:
+    """A CNF-shaped formula of ``clauses`` clauses over x1..x_scope.
+
+    Clauses have one to three literals, or rarely none (the false empty
+    clause, the only kind when the scope is empty); about one in ten
+    repeats an earlier clause. Each clause and the conjunction are folded
+    to the right (``and_all``/``or_all``) or to the left at random, so a
+    counter that flattens conjunctions meets both nestings.
+    """
+    drawn: list[Node] = []
+    for _ in range(clauses):
+        if drawn and rng.random() < 0.1:
+            drawn.append(rng.choice(drawn))
+            continue
+        width = 0 if scope == 0 or rng.random() < 0.02 else rng.randint(1, 3)
+        literals = []
+        for _ in range(width):
+            var = Var(rng.randint(1, scope))
+            literals.append(Not(var) if rng.random() < 0.5 else var)
+        drawn.append(folded(Or, literals, rng.random() < 0.5))
+    return Formula(folded(And, drawn, rng.random() < 0.5), scope)
+
+
+def folded(kind: type[And] | type[Or], items: list[Node], to_left: bool) -> Node:
+    """``items`` joined by ``kind``, nested to the left or to the right."""
+    if to_left and items:
+        return reduce(kind, items)
+    return and_all(items) if kind is And else or_all(items)
 
 
 def random_split_instance(

@@ -22,7 +22,7 @@ from .counting import count_bruteforce, count_fast
 from .formats import print_circuit
 from .formula import And, Formula, Not, Or
 from .gadgets import k_value, less_than_const, pack_many, pack_pair, psi_gadget, unpack_digits
-from .generate import random_formula, random_split_instance
+from .generate import random_cnf, random_formula, random_split_instance
 from .reduction import EqualityQuery, combine_equalities, eq_to_geq, split_target, verify_threshold
 from .solver import count_given_x, dmax_decide, dmax_pruned, max_count
 
@@ -368,11 +368,18 @@ def solver_law(rng: random.Random, cases: int) -> SuiteResult:
 
 
 def counter_law(rng: random.Random, cases: int) -> SuiteResult:
-    """count_fast agrees with count_bruteforce on random formulas."""
+    """count_fast agrees with count_bruteforce on random formulas.
+
+    Every second case is CNF-shaped, so the counter's flattening of nested
+    conjunctions meets both fold directions, empty and repeated clauses.
+    """
     name = "counter"
     for i in range(cases):
         scope = rng.randint(0, _ramp(i, cases, 1, 10))
-        f = random_formula(rng, scope, 2 * scope + 4)
+        if i % 2:
+            f = random_cnf(rng, scope, rng.randint(0, 2 * scope + 1))
+        else:
+            f = random_formula(rng, scope, 2 * scope + 4)
 
         def violated(ff: Formula) -> bool:
             return count_fast(ff) != count_bruteforce(ff)

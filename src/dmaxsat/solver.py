@@ -8,11 +8,13 @@ which makes differential testing exact.
 
 :func:`max_count` and :func:`dmax_pruned` share one engine: a depth-first
 branch and bound over the chooser block, False before True. It relabels the
-instance once so that the chooser block comes first, and one splitting
-counter (:func:`dmaxsat.counting.count_suffix`) with one memo serves the
-whole search, so after the root count every prefix's residual is a memo
-lookup. Deciding prunes with the instance's fixed bound; maximizing prunes
-with incumbent + 1. :func:`dmax_decide` is the unpruned reference: it
+instance once so that the chooser block comes first and holds it as a flat
+residue (see :mod:`dmaxsat.counting`). A chooser prefix is split with
+:func:`dmaxsat.counting.split_residue`, and one splitting search
+(:func:`dmaxsat.counting.count_residue`) with one memo serves the whole
+branch and bound, so after the root count every prefix's residual is a
+memo lookup. Deciding prunes with the instance's fixed bound; maximizing
+prunes with incumbent + 1. :func:`dmax_decide` is the unpruned reference: it
 enumerates the chooser block and counts each assignment on its own.
 """
 
@@ -21,7 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .counting import DEFAULT_LIMIT, ScopeLimitError, count_fast, count_suffix
+from .counting import (
+    DEFAULT_LIMIT,
+    Residue,
+    ScopeLimitError,
+    count_fast,
+    count_residue,
+    residue_of,
+    split_residue,
+)
 from .formula import And, Formula, Node, Not, Or, Var
 
 
@@ -187,10 +197,11 @@ def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
     """Depth-first branch and bound over the chooser block, False before True.
 
     The instance is relabelled once so that x_vars[i] becomes variable i+1
-    and the y block follows. The splitting counter then branches on the
-    chooser block first, and the residual of every chooser prefix is a
-    residue of one splitting count: after the root count fills the shared
-    memo, each child's residual is a memo lookup. The residual (the count
+    and the y block follows, and held as a flat residue. The splitting
+    counter then branches on the chooser block first, and a chooser prefix
+    is split with the counter's own split function, so its residue is one
+    the root count already met: after the root count fills the shared memo,
+    each child's residual is a memo lookup. The residual (the count
     over all still-free variables, unassigned x plus all y) sums the
     y-counts of the free chooser completions, so it bounds the best of them;
     a prefix whose residual is below the bound is abandoned wholesale.
@@ -201,17 +212,19 @@ def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
     """
     k = len(instance.x_vars)
     scope = instance.formula.scope
-    memo: dict[Node, int] = {}
+    memo: dict[Residue, int] = {}
     best: Witness | None = None
     # entries are (parent residue, chooser values including the new one);
     # the True sibling sits below the False one, so False is explored first
-    stack: list[tuple[Node, tuple[bool, ...]]] = [(_relabel(instance), ())]
+    stack: list[tuple[Residue | None, tuple[bool, ...]]] = [
+        (residue_of(_relabel(instance)), ())
+    ]
     while stack:
-        node, values = stack.pop()
+        residue, values = stack.pop()
         depth = len(values)
-        if depth:
-            node = node.restrict(depth, values[-1])
-        residual = count_suffix(node, depth + 1, scope, memo)
+        if depth and residue is not None:
+            residue = split_residue(residue, depth, values[-1])
+        residual = count_residue(residue, depth + 1, scope, memo, None)
         if bound is not None:
             need = bound
         else:
@@ -223,8 +236,8 @@ def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
             if bound is not None:
                 break
             continue
-        stack.append((node, values + (True,)))
-        stack.append((node, values + (False,)))
+        stack.append((residue, values + (True,)))
+        stack.append((residue, values + (False,)))
     return best
 
 
@@ -236,22 +249,35 @@ def _relabel(instance: SplitInstance) -> Node:
     root = instance.formula.node
     if all(v == i for v, i in index.items()):
         return root
-    return _renamed(root, index, {})
+    return _renamed(root, index)
 
 
-def _renamed(node: Node, index: dict[int, int], done: dict[int, Node]) -> Node:
-    # done maps id(original) to its copy, so shared subtrees stay shared
-    out = done.get(id(node))
-    if out is None:
+def _renamed(root: Node, index: dict[int, int]) -> Node:
+    # post-order walk on an explicit stack; done maps id(original) to its
+    # copy, so shared subtrees stay shared (the originals outlive the walk,
+    # so no id is reused)
+    done: dict[int, Node] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
         if node.min_var == 0:
-            out = node
+            out: Node = node
         elif isinstance(node, Var):
             out = Var(index[node.index])
-        elif isinstance(node, Not):
-            out = Not(_renamed(node.child, index, done))
         else:
-            assert isinstance(node, (And, Or))
-            left = _renamed(node.left, index, done)
-            out = type(node)(left, _renamed(node.right, index, done))
+            if isinstance(node, Not):
+                children: tuple[Node, ...] = (node.child,)
+            else:
+                assert isinstance(node, (And, Or))
+                children = (node.left, node.right)
+            pending = [c for c in children if id(c) not in done]
+            if pending:
+                stack.extend(pending)
+                continue
+            out = type(node)(*(done[id(c)] for c in children))
+        stack.pop()
         done[id(node)] = out
-    return out
+    return done[id(root)]

@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 
 from dmaxsat import FALSE, TRUE, And, Formula, Not, Or, Var
+from dmaxsat.generate import folded
 
 
 def nodes(max_index: int, max_leaves: int = 16) -> st.SearchStrategy:
@@ -22,3 +23,24 @@ def nodes(max_index: int, max_leaves: int = 16) -> st.SearchStrategy:
 def formulas(draw, min_scope: int = 0, max_scope: int = 8) -> Formula:
     scope = draw(st.integers(min_scope, max_scope))
     return Formula(draw(nodes(scope)), scope)
+
+
+@st.composite
+def cnf_formulas(draw, max_scope: int = 8, max_clauses: int = 10) -> Formula:
+    """CNF-shaped formulas: clauses of up to three literals, the empty clause
+    among them, some clauses repeated, each clause and the conjunction
+    folded to the right (and_all/or_all) or to the left."""
+    scope = draw(st.integers(0, max_scope))
+    literals = st.just([])
+    if scope:
+        literal = st.builds(
+            lambda v, negated: Not(Var(v)) if negated else Var(v),
+            st.integers(1, scope),
+            st.booleans(),
+        )
+        literals = st.lists(literal, max_size=3)
+    clause = st.builds(folded, st.just(Or), literals, st.booleans())
+    clauses = draw(st.lists(clause, max_size=max_clauses))
+    if clauses:
+        clauses += draw(st.lists(st.sampled_from(clauses), max_size=2))
+    return Formula(folded(And, clauses, draw(st.booleans())), scope)

@@ -73,16 +73,13 @@ def test_internal_failure_exits_4_without_traceback(run, files, monkeypatch):
 
 
 def test_deep_chain_is_counted_or_reported(run, tmp_path):
-    # an implication chain x1 -> x2 -> ... -> x1501 has 1501 models; whether
-    # or not the counter can walk that deep, the outcome is never exit 1
+    # an implication chain x1 -> x2 -> ... -> x1501 has the 1502 models
+    # F^a T^(1501-a); the counter's search is not bounded by input depth
     links = "".join(f"-{i} {i + 1} 0\n" for i in range(1, 1501))
     path = tmp_path / "chain.cnf"
     path.write_text(f"p cnf 1501 1500\n{links}")
-    code, out, err = run("count", str(path))
-    assert (code, out) in ((0, "1501\n"), (4, ""))
-    if code == 4:
-        assert err.startswith("error: internal failure: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+    assert run("count", str(path)) == (0, "1502\n", "")
+    assert run("count", str(path), "--bound", "1503") == (0, "no\n", "")
 
 
 def test_size_command(run, files):

@@ -1,5 +1,9 @@
 """Counting engines: oracle behavior, equivalence, and threshold checks."""
 
+import dataclasses
+import gc
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,14 +16,17 @@ from dmaxsat import (
     Not,
     Or,
     ScopeLimitError,
+    SplitInstance,
     Var,
     count_bruteforce,
     count_fast,
+    dmax_pruned,
+    max_count,
     parse_dimacs,
     threshold_check,
 )
 
-from strategies import formulas
+from strategies import cnf_formulas, formulas
 
 
 def test_bruteforce_basics():
@@ -97,3 +104,61 @@ def test_threshold_agrees_with_count_for_every_bound(f):
     count = count_bruteforce(f)
     for bound in range((1 << f.scope) + 2):
         assert threshold_check(f, bound) == (count >= bound)
+
+
+EDGE_SHAPES = {
+    "unfolded false disjunct": Formula(And(Or(Var(1), Not(TRUE)), Var(2)), 2),
+    "unfolded true conjunction": Formula(And(And(TRUE, TRUE), Var(1)), 1),
+    "conjunct restricted to a conjunction": Formula(
+        And(Or(Var(1), And(Var(2), Not(Var(3)))), Or(Var(3), Var(4))), 4
+    ),
+    "empty clause": parse_dimacs("p cnf 3 3\n1 -2 0\n0\n2 3 0\n"),
+    "duplicate clauses": parse_dimacs("p cnf 3 4\n1 -2 0\n2 3 0\n1 -2 0\n1 -2 0\n"),
+    "left-folded": Formula(
+        reduce(And, [Or(Var(1), Var(3)), Not(Var(2)), Or(Var(2), Var(4))]), 4
+    ),
+    "mixed nest": Formula(
+        And(
+            And(Or(Var(1), Var(2)), Not(Var(3))),
+            And(Var(4), And(Or(Not(Var(1)), Var(3)), Or(Var(2), Not(Var(4))))),
+        ),
+        4,
+    ),
+    "unused scope variables": Formula(And(Var(2), Or(Not(Var(5)), Var(2))), 7),
+}
+
+
+@pytest.mark.parametrize("f", EDGE_SHAPES.values(), ids=EDGE_SHAPES.keys())
+def test_edge_shapes_match_bruteforce(f):
+    count = count_bruteforce(f)
+    assert count_fast(f) == count
+    for bound in (0, 1, count, count + 1, (1 << f.scope) + 1):
+        assert threshold_check(f, bound) == (count >= bound)
+
+
+@given(cnf_formulas(), st.data())
+def test_cnf_counts_and_thresholds_match_bruteforce(f, data):
+    count = count_bruteforce(f)
+    assert count_fast(f) == count
+    drawn = data.draw(st.integers(0, (1 << f.scope) + 1))
+    for bound in (1, count, count + 1, drawn):
+        assert threshold_check(f, bound) == (count >= bound)
+
+
+def test_searches_leave_no_reference_cycles():
+    # with the cyclic collector off, reference counting alone must free
+    # every search's memo
+    f = parse_dimacs("p cnf 6 5\n1 -2 0\n2 3 -4 0\n-1 5 0\n4 6 0\n-3 -6 0\n")
+    count = count_bruteforce(f)
+    instance = SplitInstance(f, (5, 2), (1, 3, 4, 6))
+    gc.collect()
+    gc.disable()
+    try:
+        assert count_fast(f) == count
+        assert threshold_check(f, count)
+        assert not threshold_check(f, count + 1)
+        best = max_count(instance)
+        assert dmax_pruned(dataclasses.replace(instance, bound=best.achieved)) == best
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

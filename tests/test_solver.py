@@ -23,9 +23,13 @@ from dmaxsat import (
     dmax_pruned,
     max_count,
     parse_blocks,
+    parse_dimacs,
 )
 from dmaxsat.generate import random_split_instance
 from dmaxsat.selftest import solver_law
+from dmaxsat.solver import _relabel
+
+from strategies import cnf_formulas
 
 
 OR_XY = Formula(Or(Var(1), Var(2)), 2)
@@ -208,6 +212,42 @@ def test_shared_subtree_under_unsorted_chooser_block():
         plain = dmax_decide(bounded)
         assert dmax_pruned(bounded) == plain
         assert (plain is not None) == (bound <= achieved)
+
+
+@settings(max_examples=60)
+@given(cnf_formulas(max_scope=7), st.data())
+def test_engines_match_reference_on_cnf(f, data):
+    order = data.draw(st.permutations(range(1, f.scope + 1)))
+    cut = data.draw(st.integers(0, f.scope))
+    instance = SplitInstance(f, tuple(order[:cut]), tuple(order[cut:]))
+    best = max_count(instance)
+    assert dmax_decide(dataclasses.replace(instance, bound=best.achieved)) == best
+    drawn = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
+    for bound in (0, best.achieved, best.achieved + 1, drawn):
+        bounded = dataclasses.replace(instance, bound=bound)
+        plain = dmax_decide(bounded)
+        assert dmax_pruned(bounded) == plain
+        assert (plain is not None) == (bound <= best.achieved)
+
+
+def test_relabel_keeps_shared_subtrees_shared():
+    shared = Or(Var(1), Not(Var(2)))
+    formula = Formula(And(shared, Or(Var(3), shared)), 3)
+    node = _relabel(SplitInstance(formula, (3,), (1, 2)))
+    assert node.left is node.right.right
+    assert node.right.left == Var(1) and node.left == Or(Var(2), Not(Var(3)))
+
+
+def test_deep_chain_is_relabelled_and_solved():
+    # x1 -> x2 -> ... -> x1501 has the models F^a T^(1501-a); with x1501 as
+    # the chooser, True leaves 1501 of them and False only the all-false one
+    n = 1501
+    links = "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
+    chain = parse_dimacs(f"p cnf {n} {n - 1}\n{links}")
+    instance = SplitInstance(chain, (n,), tuple(range(1, n)))
+    node = _relabel(instance)
+    assert (node.ops, node.min_var, node.max_var) == (chain.node.ops, 1, n)
+    assert max_count(instance, limit=n) == Witness((True,), n)
 
 
 def test_monotonicity_in_the_bound():
