@@ -8,6 +8,17 @@ doubles the model count, and the count-shaping gadgets rely on exactly that.
 Size means the number of Boolean operators (not/and/or nodes); variables and
 constants are free. Gadget constructors build fixed right-folded shapes and
 never simplify, so size stays an exact, testable quantity.
+
+Trees are rewritten in exactly two ways:
+
+* Restriction, :meth:`Node.restrict`, sets one variable to a constant and
+  folds the constants this introduces. The splitting counter and the
+  chooser solver call it once per variable they fix; a subtree that does
+  not mention the variable comes back as the same object.
+* Renaming, :func:`renamed`, moves variables to new indices and never
+  folds, so shape and size stay exact. :meth:`Formula.shift` uses it to
+  place gadget operands on fresh variable blocks, and the solver uses it
+  to put the chooser block first.
 """
 
 from __future__ import annotations
@@ -51,20 +62,12 @@ class Node:
         """Truth value under the assignment whose bit i-1 is variable i."""
         raise NotImplementedError
 
-    def shifted(self, offset: int) -> "Node":
-        """Copy with every variable index raised by ``offset``."""
-        raise NotImplementedError
-
     def restrict(self, var: int, value: bool) -> "Node":
         """Substitute one variable by a constant and fold constants away.
 
         Count-preserving over any scope: the substituted variable simply no
         longer occurs. Used by the splitting counter.
         """
-        raise NotImplementedError
-
-    def substitute(self, fixed: Mapping[int, bool]) -> "Node":
-        """Substitute several variables at once, folding constants."""
         raise NotImplementedError
 
 
@@ -89,13 +92,7 @@ class _Const(Node):
     def eval_mask(self, mask: int) -> bool:
         return self.value
 
-    def shifted(self, offset: int) -> Node:
-        return self
-
     def restrict(self, var: int, value: bool) -> Node:
-        return self
-
-    def substitute(self, fixed: Mapping[int, bool]) -> Node:
         return self
 
 
@@ -128,17 +125,8 @@ class Var(Node):
     def eval_mask(self, mask: int) -> bool:
         return bool((mask >> (self.index - 1)) & 1)
 
-    def shifted(self, offset: int) -> Node:
-        return Var(self.index + offset) if offset else self
-
     def restrict(self, var: int, value: bool) -> Node:
         if var != self.index:
-            return self
-        return TRUE if value else FALSE
-
-    def substitute(self, fixed: Mapping[int, bool]) -> Node:
-        value = fixed.get(self.index)
-        if value is None:
             return self
         return TRUE if value else FALSE
 
@@ -172,23 +160,10 @@ class Not(Node):
     def eval_mask(self, mask: int) -> bool:
         return not self.child.eval_mask(mask)
 
-    def shifted(self, offset: int) -> Node:
-        return Not(self.child.shifted(offset)) if offset else self
-
     def restrict(self, var: int, value: bool) -> Node:
         if var < self.min_var or var > self.max_var:
             return self
         child = self.child.restrict(var, value)
-        if child is self.child:
-            return self
-        if child is TRUE:
-            return FALSE
-        if child is FALSE:
-            return TRUE
-        return Not(child)
-
-    def substitute(self, fixed: Mapping[int, bool]) -> Node:
-        child = self.child.substitute(fixed)
         if child is self.child:
             return self
         if child is TRUE:
@@ -229,11 +204,6 @@ class And(Node):
     def eval_mask(self, mask: int) -> bool:
         return self.left.eval_mask(mask) and self.right.eval_mask(mask)
 
-    def shifted(self, offset: int) -> Node:
-        if not offset:
-            return self
-        return And(self.left.shifted(offset), self.right.shifted(offset))
-
     def restrict(self, var: int, value: bool) -> Node:
         if var < self.min_var or var > self.max_var:
             return self
@@ -241,21 +211,6 @@ class And(Node):
         if left is FALSE:
             return FALSE
         right = self.right.restrict(var, value)
-        if right is FALSE:
-            return FALSE
-        if left is TRUE:
-            return right
-        if right is TRUE:
-            return left
-        if left is self.left and right is self.right:
-            return self
-        return And(left, right)
-
-    def substitute(self, fixed: Mapping[int, bool]) -> Node:
-        left = self.left.substitute(fixed)
-        if left is FALSE:
-            return FALSE
-        right = self.right.substitute(fixed)
         if right is FALSE:
             return FALSE
         if left is TRUE:
@@ -298,11 +253,6 @@ class Or(Node):
     def eval_mask(self, mask: int) -> bool:
         return self.left.eval_mask(mask) or self.right.eval_mask(mask)
 
-    def shifted(self, offset: int) -> Node:
-        if not offset:
-            return self
-        return Or(self.left.shifted(offset), self.right.shifted(offset))
-
     def restrict(self, var: int, value: bool) -> Node:
         if var < self.min_var or var > self.max_var:
             return self
@@ -310,21 +260,6 @@ class Or(Node):
         if left is TRUE:
             return TRUE
         right = self.right.restrict(var, value)
-        if right is TRUE:
-            return TRUE
-        if left is FALSE:
-            return right
-        if right is FALSE:
-            return left
-        if left is self.left and right is self.right:
-            return self
-        return Or(left, right)
-
-    def substitute(self, fixed: Mapping[int, bool]) -> Node:
-        left = self.left.substitute(fixed)
-        if left is TRUE:
-            return TRUE
-        right = self.right.substitute(fixed)
         if right is TRUE:
             return TRUE
         if left is FALSE:
@@ -356,6 +291,45 @@ def or_all(nodes: Iterable[Node]) -> Node:
     for node in reversed(items[:-1]):
         out = Or(node, out)
     return out
+
+
+def renamed(root: Node, index: Mapping[int, int]) -> Node:
+    """Copy of ``root`` with every variable v replaced by ``Var(index[v])``.
+
+    A post-order walk on an explicit stack, so any tree depth is safe. It
+    never folds constants, so the copy has exactly the shape and size of
+    the original. A subtree shared in the original is shared in the copy,
+    and a variable-free subtree is reused as it is.
+    """
+    # done maps id(original) to its copy; the originals outlive the walk,
+    # so no id is reused. A node whose children are not copied yet goes
+    # back on the stack below them.
+    done: dict[int, Node] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in done:
+            continue
+        kind = type(node)
+        if node.min_var == 0:
+            done[key] = node
+        elif kind is Var:
+            done[key] = Var(index[node.index])
+        elif kind is Not:
+            child = done.get(id(node.child))
+            if child is None:
+                stack += (node, node.child)
+                continue
+            done[key] = Not(child)
+        else:
+            left = done.get(id(node.left))
+            right = done.get(id(node.right))
+            if left is None or right is None:
+                stack += (node, node.right, node.left)
+                continue
+            done[key] = kind(left, right)
+    return done[id(root)]
 
 
 @dataclass(frozen=True)
@@ -405,7 +379,9 @@ class Formula:
             raise ScopeError(f"shift offset must be nonnegative, got {offset}")
         if offset == 0:
             return self
-        return Formula(self.node.shifted(offset), self.scope + offset)
+        node = self.node
+        index = {v: v + offset for v in range(node.min_var, node.max_var + 1)}
+        return Formula(renamed(node, index), self.scope + offset)
 
     def negate(self) -> "Formula":
         """The complement formula over the same scope."""

@@ -70,7 +70,7 @@ def pack_pair(f: Formula, g: Formula) -> Formula:
     selector = m + n + 1
     pinned = [Not(Var(i)) for i in range(m + 1, selector + 1)]
     low = and_all([f.node, *pinned])
-    high = And(g.node.shifted(m), Var(selector))
+    high = And(g.shift(m).node, Var(selector))
     return Formula(Or(low, high), selector)
 
 
@@ -172,7 +172,7 @@ def psi_gadget(f: Formula, delta: int) -> Formula:
     n = f.scope
     _check_delta(n, delta)
     selector = 2 * n + 1
-    mirrored = f.node.shifted(n)
+    mirrored = f.shift(n).node
     low = And(Not(mirrored), Not(Var(selector)))
-    high = And(less_than_const(n, 2 * delta).node.shifted(n), Var(selector))
+    high = And(less_than_const(n, 2 * delta).shift(n).node, Var(selector))
     return Formula(And(f.node, Or(low, high)), selector)

@@ -7,15 +7,18 @@ engine returns the lexicographically least qualifying chooser assignment,
 which makes differential testing exact.
 
 :func:`max_count` and :func:`dmax_pruned` share one engine: a depth-first
-branch and bound over the chooser block, False before True. It relabels the
-instance once so that the chooser block comes first and holds it as a flat
-residue (see :mod:`dmaxsat.counting`). A chooser prefix is split with
+branch and bound over the chooser block, False before True. It renames the
+instance's variables once (:func:`dmaxsat.formula.renamed`) so that the
+chooser block comes first, and holds it as a flat residue (see
+:mod:`dmaxsat.counting`). A chooser prefix is split with
 :func:`dmaxsat.counting.split_residue`, and one splitting search
 (:func:`dmaxsat.counting.count_residue`) with one memo serves the whole
 branch and bound, so after the root count every prefix's residual is a
 memo lookup. Deciding prunes with the instance's fixed bound; maximizing
 prunes with incumbent + 1. :func:`dmax_decide` is the unpruned reference: it
-enumerates the chooser block and counts each assignment on its own.
+enumerates the chooser block and counts each assignment on its own with
+:func:`count_given_x`, which restricts the chooser variables one at a time
+(:meth:`dmaxsat.formula.Node.restrict`) and counts what is left.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .counting import (
     residue_of,
     split_residue,
 )
-from .formula import And, Formula, Node, Not, Or, Var
+from .formula import Formula, Node, renamed
 
 
 @dataclass(frozen=True)
@@ -81,12 +84,12 @@ class Witness:
 def parse_blocks(declaration: str, scope: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Parse a block declaration like ``x: 1 3 / y: 2 4`` into the two blocks.
 
-    Variables not listed anywhere default to the y block; a variable listed
-    twice is an error. Either segment may be omitted or left empty.
+    Variables not listed anywhere default to the y block. Either segment may
+    be omitted or left empty. Only the syntax is checked here: a variable
+    outside the scope or listed twice is rejected by :class:`SplitInstance`.
     """
     listed_x: list[int] = []
     listed_y: list[int] = []
-    seen: set[int] = set()
     for part in declaration.split("/"):
         part = part.strip()
         if not part:
@@ -101,13 +104,9 @@ def parse_blocks(declaration: str, scope: int) -> tuple[tuple[int, ...], tuple[i
                 v = int(token)
             except ValueError:
                 raise ValueError(f"bad variable index {token!r}") from None
-            if not 1 <= v <= scope:
-                raise ValueError(f"variable {v} outside scope {scope}")
-            if v in seen:
-                raise ValueError(f"variable {v} listed twice")
-            seen.add(v)
             block.append(v)
-    unlisted = [v for v in range(1, scope + 1) if v not in seen]
+    listed = set(listed_x + listed_y)
+    unlisted = [v for v in range(1, scope + 1) if v not in listed]
     return tuple(listed_x), tuple(listed_y + unlisted)
 
 
@@ -118,11 +117,12 @@ def count_given_x(instance: SplitInstance, x_assignment: Sequence[bool]) -> int:
             f"assignment covers {len(x_assignment)} of "
             f"{len(instance.x_vars)} chooser variables"
         )
-    fixed = {v: bool(b) for v, b in zip(instance.x_vars, x_assignment)}
-    # the substituted tree no longer mentions the fixed variables, so the
-    # full-scope count overshoots by exactly 2**len(fixed)
-    restricted = instance.formula.node.substitute(fixed)
-    return count_fast(Formula(restricted, instance.formula.scope)) >> len(fixed)
+    node = instance.formula.node
+    for v, value in zip(instance.x_vars, x_assignment):
+        node = node.restrict(v, value)
+    # the restricted tree no longer mentions the chooser variables, so the
+    # full-scope count overshoots by exactly 2**len(x_assignment)
+    return count_fast(Formula(node, instance.formula.scope)) >> len(x_assignment)
 
 
 def _lex_assignments(k: int) -> Iterator[tuple[bool, ...]]:
@@ -249,35 +249,4 @@ def _relabel(instance: SplitInstance) -> Node:
     root = instance.formula.node
     if all(v == i for v, i in index.items()):
         return root
-    return _renamed(root, index)
-
-
-def _renamed(root: Node, index: dict[int, int]) -> Node:
-    # post-order walk on an explicit stack; done maps id(original) to its
-    # copy, so shared subtrees stay shared (the originals outlive the walk,
-    # so no id is reused)
-    done: dict[int, Node] = {}
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        if node.min_var == 0:
-            out: Node = node
-        elif isinstance(node, Var):
-            out = Var(index[node.index])
-        else:
-            if isinstance(node, Not):
-                children: tuple[Node, ...] = (node.child,)
-            else:
-                assert isinstance(node, (And, Or))
-                children = (node.left, node.right)
-            pending = [c for c in children if id(c) not in done]
-            if pending:
-                stack.extend(pending)
-                continue
-            out = type(node)(*(done[id(c)] for c in children))
-        stack.pop()
-        done[id(node)] = out
-    return done[id(root)]
+    return renamed(root, index)

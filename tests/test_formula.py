@@ -4,7 +4,19 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from dmaxsat import FALSE, TRUE, And, Formula, Not, Or, ScopeError, Var, and_all, or_all
+from dmaxsat import (
+    FALSE,
+    TRUE,
+    And,
+    Formula,
+    Not,
+    Or,
+    ScopeError,
+    Var,
+    and_all,
+    less_than_const,
+    or_all,
+)
 from dmaxsat.formula import _Const
 
 from strategies import formulas
@@ -71,6 +83,24 @@ def test_shift_preserves_size_and_shape(f, offset):
     assert shifted.size() == f.size()
     assert shifted.scope == f.scope + offset
     assert _same_shape(f.node, shifted.node, offset)
+
+
+def test_shift_keeps_shared_subtrees_shared():
+    shared = Or(Var(1), Not(Var(2)))
+    node = Formula(And(shared, Or(Var(3), shared)), 3).shift(2).node
+    assert node.left is node.right.right
+    assert node.left == Or(Var(3), Not(Var(4))) and node.right.left == Var(5)
+    # the second parent is reached only after the shared subtree is copied
+    node = Formula(And(Or(Var(3), shared), Or(Not(Var(3)), shared)), 3).shift(2).node
+    assert node.left.right is node.right.right
+
+
+def test_shift_handles_deep_trees():
+    # the comparator over 1500 variables nests 1500 operators deep
+    shifted = less_than_const(1500, (1 << 1500) // 3).shift(7)
+    assert shifted.scope == 1507
+    node = shifted.node
+    assert (node.ops, node.min_var, node.max_var) == (3000, 8, 1507)
 
 
 def test_shift_rejects_negative_offset():

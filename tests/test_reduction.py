@@ -1,5 +1,7 @@
 """Equality-to-threshold rewriting and multi-claim collapsing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -18,6 +20,8 @@ from dmaxsat import (
     split_target,
     verify_threshold,
 )
+from dmaxsat.generate import random_formula
+from dmaxsat.selftest import expected_psi_size
 
 from strategies import formulas
 
@@ -147,6 +151,22 @@ def test_collapse_size_stays_linear_in_operands(data):
     )
     total = sum(f.size() for f in operands)
     assert collapse.query.formula.size() <= 2 * total + 6 * k * n + 10 * k + 4
+
+
+@pytest.mark.parametrize("last_claim", [0, 1 << 16])
+def test_combine_builds_deep_batches_at_exact_size(last_claim):
+    # 64 operands over 16 variables pack into a tree over a thousand
+    # operators deep; the last claim picks the psi branch
+    rng = random.Random(1)
+    operands = [random_formula(rng, 16, 34) for _ in range(64)]
+    claims = [rng.randint(0, 1 << 16) for _ in range(63)] + [last_claim]
+    collapse = combine_equalities(
+        [EqualityQuery(f, c) for f, c in zip(operands, claims)]
+    )
+    assert collapse.branch == ("high" if last_claim else "low")
+    h = collapse.packed if collapse.branch == "high" else collapse.packed.negate()
+    assert collapse.query.formula.scope == 2 * 64 * 17 + 1
+    assert collapse.query.formula.size() == expected_psi_size(h, collapse.delta)
 
 
 @settings(max_examples=12)

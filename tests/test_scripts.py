@@ -1,0 +1,49 @@
+"""The example scripts run end to end on the checkout's package."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+@pytest.mark.parametrize("extra,verdict", [((), "yes"), (("--corrupt", "1"), "no")])
+def test_collapse_demo_agrees_with_the_oracle(extra, verdict):
+    proc = _run_script("collapse_demo.py", *extra)
+    assert proc.returncode == 0, proc.stderr
+    assert f"verify_threshold: {verdict}\n" in proc.stdout
+    oracle = re.search(
+        r"^oracle: count (\d+) vs bound (\d+) -> (yes|no)$", proc.stdout, re.M
+    )
+    assert oracle is not None
+    count, bound = int(oracle[1]), int(oracle[2])
+    assert oracle[3] == verdict == ("yes" if count >= bound else "no")
+
+
+def test_gadget_growth_prints_the_size_contracts():
+    proc = _run_script("gadget_growth.py", "--max-n", "6")
+    assert proc.returncode == 0, proc.stderr
+    rows = [list(map(int, line.split())) for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == list(range(1, 7))
+    for n, f_size, mkless, psi, _ in rows:
+        # comparator at c = 2**(n-1): 2n; psi with 2*delta < 2**n: 2|f| + 2n + 6
+        assert mkless == 2 * n
+        assert psi == 2 * f_size + 2 * n + 6

@@ -150,8 +150,10 @@ def test_parse_blocks():
     ],
 )
 def test_parse_blocks_rejects_bad_input(declaration, match):
+    # parse_blocks rejects bad syntax; an index outside the scope or listed
+    # twice is rejected by SplitInstance
     with pytest.raises(ValueError, match=match):
-        parse_blocks(declaration, 3)
+        SplitInstance(Formula(TRUE, 3), *parse_blocks(declaration, 3))
 
 
 def _oracle_best(instance):
