@@ -6,8 +6,9 @@ text plus one JSON audit line, and identical invocations produce identical
 stdout (selftest included, given a seed). Exit codes: 0 success (and a
 "yes" dmax verdict), 1 a "no" dmax verdict or failed selftest, 2 bad input,
 3 enumeration limit exceeded, 4 internal failure (any other exception, for
-example a recursion limit hit on a very deep input), reported as one
-``error: internal failure: ...`` line on stderr instead of a traceback.
+example the recursion limit, which counting still meets on a single very
+deep conjunct), reported as one ``error: internal failure: ...`` line on
+stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -34,14 +35,8 @@ from .solver import SplitInstance, dmax_decide, dmax_pruned, max_count, parse_bl
 
 @dataclass
 class RunReport:
-    """One invocation's outcome.
+    """One invocation's outcome; ``lines`` is exactly what goes to stdout."""
 
-    ``lines`` is exactly what goes to stdout; the input digest stays out of
-    it so reruns are byte-identical.
-    """
-
-    command: str
-    digest: str
     lines: list[str] = field(default_factory=list)
     exit_code: int = 0
 
@@ -59,7 +54,8 @@ def _file_bytes(path: str) -> bytes:
         return handle.read()
 
 
-def _emit_formula(args, report: RunReport, formula, audit: dict) -> None:
+def _emit_formula(args, formula, audit: dict) -> RunReport:
+    report = RunReport()
     text = print_circuit(formula)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -67,12 +63,11 @@ def _emit_formula(args, report: RunReport, formula, audit: dict) -> None:
     else:
         report.lines.append(text)
     report.lines.append(json.dumps(audit, sort_keys=True))
+    return report
 
 
 def cmd_count(args) -> RunReport:
-    report = RunReport(
-        "count", _digest("count", _file_bytes(args.path), args.engine, args.bound)
-    )
+    report = RunReport()
     f = read_formula(args.path, args.format)
     if args.bound is not None:
         if args.bound < 0:
@@ -92,15 +87,13 @@ def cmd_count(args) -> RunReport:
 
 
 def cmd_size(args) -> RunReport:
-    report = RunReport("size", _digest("size", _file_bytes(args.path)))
+    report = RunReport()
     f = read_formula(args.path, args.format)
     report.lines.append(str(f.size()))
     return report
 
 
 def cmd_pack(args) -> RunReport:
-    payload = [_file_bytes(p) for p in args.paths]
-    report = RunReport("pack", _digest("pack", *payload))
     packed = pack_many([read_formula(p, args.format) for p in args.paths])
     audit = {
         "cmd": "pack",
@@ -108,14 +101,12 @@ def cmd_pack(args) -> RunReport:
         "digit_count": packed.digit_count,
         "scope": packed.formula.scope,
         "size": packed.formula.size(),
-        "digest": report.digest,
+        "digest": _digest("pack", *[_file_bytes(p) for p in args.paths]),
     }
-    _emit_formula(args, report, packed.formula, audit)
-    return report
+    return _emit_formula(args, packed.formula, audit)
 
 
 def cmd_mkless(args) -> RunReport:
-    report = RunReport("mkless", _digest("mkless", args.n, args.c))
     formula = less_than_const(args.n, args.c)
     audit = {
         "cmd": "mkless",
@@ -123,14 +114,12 @@ def cmd_mkless(args) -> RunReport:
         "c": str(args.c),
         "scope": formula.scope,
         "size": formula.size(),
-        "digest": report.digest,
+        "digest": _digest("mkless", args.n, args.c),
     }
-    _emit_formula(args, report, formula, audit)
-    return report
+    return _emit_formula(args, formula, audit)
 
 
 def cmd_psi(args) -> RunReport:
-    report = RunReport("psi", _digest("psi", _file_bytes(args.path), args.delta))
     f = read_formula(args.path, args.format)
     gadget = psi_gadget(f, args.delta)
     audit = {
@@ -139,16 +128,12 @@ def cmd_psi(args) -> RunReport:
         "delta": str(args.delta),
         "scope": gadget.scope,
         "size": gadget.size(),
-        "digest": report.digest,
+        "digest": _digest("psi", _file_bytes(args.path), args.delta),
     }
-    _emit_formula(args, report, gadget, audit)
-    return report
+    return _emit_formula(args, gadget, audit)
 
 
 def cmd_eq2geq(args) -> RunReport:
-    report = RunReport(
-        "eq2geq", _digest("eq2geq", _file_bytes(args.path), args.target)
-    )
     h = read_formula(args.path, args.format)
     query = eq_to_geq(h, args.target)
     branch, delta = split_target(h.scope, args.target)
@@ -161,10 +146,9 @@ def cmd_eq2geq(args) -> RunReport:
         "bound": str(query.bound),
         "scope": query.formula.scope,
         "size": query.formula.size(),
-        "digest": report.digest,
+        "digest": _digest("eq2geq", _file_bytes(args.path), args.target),
     }
-    _emit_formula(args, report, query.formula, audit)
-    return report
+    return _emit_formula(args, query.formula, audit)
 
 
 def cmd_combine(args) -> RunReport:
@@ -180,7 +164,6 @@ def cmd_combine(args) -> RunReport:
             raise ValueError(f"bad claimed count {raw!r} in {entry!r}") from None
         payload.extend((_file_bytes(path), claimed))
         queries.append(EqualityQuery(read_formula(path, args.format), claimed))
-    report = RunReport("combine", _digest("combine", *payload))
     collapse = combine_equalities(queries)
     audit = {
         "cmd": "combine",
@@ -194,10 +177,9 @@ def cmd_combine(args) -> RunReport:
         "packed_scope": collapse.packed.scope,
         "scope": collapse.query.formula.scope,
         "size": collapse.query.formula.size(),
-        "digest": report.digest,
+        "digest": _digest("combine", *payload),
     }
-    _emit_formula(args, report, collapse.query.formula, audit)
-    return report
+    return _emit_formula(args, collapse.query.formula, audit)
 
 
 def _witness_text(x_vars, witness) -> str:
@@ -213,9 +195,7 @@ def _split_instance(args, bound: int | None) -> SplitInstance:
 
 
 def cmd_dmax(args) -> RunReport:
-    report = RunReport(
-        "dmax", _digest("dmax", _file_bytes(args.path), args.blocks, args.bound)
-    )
+    report = RunReport()
     instance = _split_instance(args, args.bound)
     engine = dmax_decide if args.engine == "plain" else dmax_pruned
     witness = engine(instance, limit=args.limit)
@@ -228,9 +208,7 @@ def cmd_dmax(args) -> RunReport:
 
 
 def cmd_maxcount(args) -> RunReport:
-    report = RunReport(
-        "maxcount", _digest("maxcount", _file_bytes(args.path), args.blocks)
-    )
+    report = RunReport()
     instance = _split_instance(args, None)
     witness = max_count(instance, limit=args.limit)
     report.lines.append(_witness_text(instance.x_vars, witness))
@@ -238,7 +216,7 @@ def cmd_maxcount(args) -> RunReport:
 
 
 def cmd_selftest(args) -> RunReport:
-    report = RunReport("selftest", _digest("selftest", args.seed, args.budget))
+    report = RunReport()
     ok = run_selftest(args.seed, args.budget, emit=report.lines.append)
     report.exit_code = 0 if ok else 1
     return report

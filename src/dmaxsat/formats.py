@@ -2,9 +2,10 @@
 
 Circuit files carry a ``(scope N)`` header followed by one expression over
 the atoms ``true``, ``false``, ``xK`` and the operators ``not``, ``and``,
-``or``. Canonical output is strictly binary; the parser also accepts n-ary
+``or``; only space, tab, CR and LF separate tokens, and numbers are ASCII
+digits. Canonical output is strictly binary; the parser also accepts n-ary
 ``and``/``or`` and folds them to the right, so printing then re-parsing is
-the structural identity.
+the structural identity. Neither walk recurses, so any depth round-trips.
 """
 
 from __future__ import annotations
@@ -35,152 +36,118 @@ class ParseError(ValueError):
         self.column = column
 
 
-_VAR_ATOM = re.compile(r"x(\d+)")
+_TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
+_VAR_ATOM = re.compile(r"x([0-9]+)")
+_HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+[0-9]+")
+_LITERAL = re.compile(r"[+-]?[0-9]+")
+_WORD = re.compile(r"\S+")
 
 
-def _tokenize(text: str) -> list[tuple[str, int, int]]:
-    tokens = []
-    line, column = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-        elif ch in " \t\r":
-            column += 1
-            i += 1
-        elif ch in "()":
-            tokens.append((ch, line, column))
-            column += 1
-            i += 1
-        else:
-            j = i
-            start = column
-            while j < n and text[j] not in " \t\r\n()":
-                j += 1
-                column += 1
-            tokens.append((text[i:j], line, start))
-            i = j
-    return tokens
+def _error(text: str, index: int, message: str) -> ParseError:
+    """The error at token ``index``, or just past the last token if there is none."""
+    offset = 0
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            offset = match.start()
+            break
+        offset = match.end()
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-class _Cursor:
-    def __init__(self, tokens: list[tuple[str, int, int]]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][0]
-        return None
-
-    def where(self) -> tuple[int, int]:
-        if self.pos < len(self.tokens):
-            _, line, column = self.tokens[self.pos]
-            return line, column
-        if self.tokens:
-            _, line, column = self.tokens[-1]
-            return line, column + len(self.tokens[-1][0])
-        return 1, 1
-
-    def next(self, expected: str | None = None) -> str:
-        line, column = self.where()
-        if self.pos >= len(self.tokens):
-            raise ParseError(
-                f"unexpected end of input, expected {expected or 'a token'}",
-                line,
-                column,
-            )
-        token = self.tokens[self.pos][0]
-        if expected is not None and token != expected:
-            raise ParseError(f"expected {expected!r}, got {token!r}", line, column)
-        self.pos += 1
-        return token
-
-    def fail(self, message: str) -> ParseError:
-        line, column = self.where()
-        return ParseError(message, line, column)
+def _expect(text: str, tokens: list[str | None], i: int, expected: str | None) -> str:
+    """Token ``i``, which must be ``expected`` unless that is None."""
+    token = tokens[i]
+    if token is None:
+        expected = expected or "a token"
+        raise _error(text, i, f"unexpected end of input, expected {expected}")
+    if expected is not None and token != expected:
+        raise _error(text, i, f"expected {expected!r}, got {token!r}")
+    return token
 
 
 def parse_circuit(text: str) -> Formula:
     """Parse circuit text into a Formula; errors carry line and column."""
-    cursor = _Cursor(_tokenize(text))
-    cursor.next("(")
-    cursor.next("scope")
-    raw = cursor.next()
-    if not raw.isdigit():
-        raise cursor.fail(f"scope must be a nonnegative integer, got {raw!r}")
+    tokens: list[str | None] = _TOKEN.findall(text)
+    tokens.append(None)  # end of input
+    _expect(text, tokens, 0, "(")
+    _expect(text, tokens, 1, "scope")
+    raw = _expect(text, tokens, 2, None)
+    if not (raw.isascii() and raw.isdigit()):
+        raise _error(text, 3, f"scope must be a nonnegative integer, got {raw!r}")
+    _expect(text, tokens, 3, ")")
     scope = int(raw)
-    cursor.next(")")
-    node = _parse_expr(cursor, scope)
-    if cursor.peek() is not None:
-        raise cursor.fail(f"unexpected trailing input {cursor.peek()!r}")
-    return Formula(node, scope)
-
-
-def _parse_expr(cursor: _Cursor, scope: int) -> Node:
-    token = cursor.peek()
-    if token is None:
-        raise cursor.fail("unexpected end of input, expected a formula")
-    if token != "(":
-        cursor.next()
-        if token == "true":
-            return TRUE
-        if token == "false":
-            return FALSE
-        match = _VAR_ATOM.fullmatch(token)
-        if match:
+    stack: list[tuple[str, list[Node]]] = []  # open (op, operands) frames
+    i = 4
+    while True:
+        token = tokens[i]
+        if token == "(":
+            op = _expect(text, tokens, i + 1, None)
+            if op not in ("not", "and", "or"):
+                raise _error(text, i + 1, f"expected 'not', 'and' or 'or', got {op!r}")
+            stack.append((op, []))
+            i += 2
+            continue
+        if stack and stack[-1][0] != "not" and token in (")", None):
+            op, operands = stack.pop()
+            if token is None:
+                raise _error(text, i, "unexpected end of input, expected ')'")
+            if len(operands) < 2:
+                raise _error(text, i, f"'{op}' needs at least two operands")
+            node = and_all(operands) if op == "and" else or_all(operands)
+        elif token == "true":
+            node = TRUE
+        elif token == "false":
+            node = FALSE
+        elif token is None:
+            raise _error(text, i, "unexpected end of input, expected a formula")
+        else:
+            match = _VAR_ATOM.fullmatch(token)
+            if not match:
+                raise _error(text, i, f"expected a formula, got {token!r}")
             index = int(match.group(1))
             if index < 1:
-                cursor.pos -= 1
-                raise cursor.fail("variable index must be >= 1")
+                raise _error(text, i, "variable index must be >= 1")
             if index > scope:
-                cursor.pos -= 1
-                raise cursor.fail(
-                    f"variable x{index} exceeds declared scope {scope}"
-                )
-            return Var(index)
-        cursor.pos -= 1
-        raise cursor.fail(f"expected a formula, got {token!r}")
-    cursor.next("(")
-    op = cursor.next()
-    if op == "not":
-        child = _parse_expr(cursor, scope)
-        cursor.next(")")
-        return Not(child)
-    if op in ("and", "or"):
-        operands = []
-        while cursor.peek() != ")":
-            if cursor.peek() is None:
-                raise cursor.fail("unexpected end of input, expected ')'")
-            operands.append(_parse_expr(cursor, scope))
-        if len(operands) < 2:
-            raise cursor.fail(f"'{op}' needs at least two operands")
-        cursor.next(")")
-        return and_all(operands) if op == "and" else or_all(operands)
-    cursor.pos -= 1
-    raise cursor.fail(f"expected 'not', 'and' or 'or', got {op!r}")
+                message = f"variable x{index} exceeds declared scope {scope}"
+                raise _error(text, i, message)
+            node = Var(index)
+        i += 1
+        while stack and stack[-1][0] == "not":
+            _expect(text, tokens, i, ")")
+            stack.pop()
+            node = Not(node)
+            i += 1
+        if not stack:
+            break
+        stack[-1][1].append(node)
+    if tokens[i] is not None:
+        raise _error(text, i, f"unexpected trailing input {tokens[i]!r}")
+    return Formula(node, scope)
 
 
 def print_circuit(f: Formula) -> str:
     """Canonical one-line circuit text; parse_circuit inverts it exactly."""
-    return f"(scope {f.scope}) {_sexp(f.node)}"
-
-
-def _sexp(node: Node) -> str:
-    if type(node) is _Const:
-        return "true" if node.value else "false"
-    if type(node) is Var:
-        return f"x{node.index}"
-    if type(node) is Not:
-        return f"(not {_sexp(node.child)})"
-    if type(node) is And:
-        return f"(and {_sexp(node.left)} {_sexp(node.right)})"
-    if type(node) is Or:
-        return f"(or {_sexp(node.left)} {_sexp(node.right)})"
-    raise TypeError(f"unknown node type {type(node).__name__}")
+    pieces = [f"(scope {f.scope}) "]
+    stack: list[Node | str] = [f.node]  # nodes still to print, and closing text
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is str:
+            pieces.append(node)
+        elif kind is Var:
+            pieces.append(f"x{node.index}")
+        elif kind is And or kind is Or:
+            pieces.append("(and " if kind is And else "(or ")
+            stack += (")", node.right, " ", node.left)
+        elif kind is Not:
+            pieces.append("(not ")
+            stack += (")", node.child)
+        elif kind is _Const:
+            pieces.append("true" if node.value else "false")
+        else:
+            raise TypeError(f"unknown node type {kind.__name__}")
+    return "".join(pieces)
 
 
 def parse_dimacs(text: str) -> Formula:
@@ -202,36 +169,29 @@ def parse_dimacs(text: str) -> Formula:
         if line.startswith("p"):
             if n_vars is not None:
                 raise ParseError("duplicate DIMACS header", line_no, 1)
-            fields = line.split()
-            if len(fields) != 4 or fields[0] != "p" or fields[1] != "cnf":
+            header = _HEADER.fullmatch(line)
+            if header is None:
                 raise ParseError(f"malformed header {line!r}", line_no, 1)
-            try:
-                n_vars = int(fields[2])
-                declared_clauses = int(fields[3])
-            except ValueError:
-                raise ParseError(f"malformed header {line!r}", line_no, 1) from None
-            if n_vars < 0 or declared_clauses < 0:
-                raise ParseError(f"malformed header {line!r}", line_no, 1)
+            n_vars = int(header.group(1))
             continue
         if n_vars is None:
             raise ParseError("clause line before the 'p cnf' header", line_no, 1)
         for token in line.split():
-            try:
-                literal = int(token)
-            except ValueError:
+            literal = int(token) if _LITERAL.fullmatch(token) else None
+            if literal is None or abs(literal) > n_vars:
+                # every earlier token on the line was accepted, so none equals it
+                column = next(m.start() for m in _WORD.finditer(raw) if m[0] == token)
                 raise ParseError(
-                    f"non-integer literal {token!r}", line_no, 1
-                ) from None
+                    f"non-integer literal {token!r}"
+                    if literal is None
+                    else f"literal {literal} exceeds declared variable count {n_vars}",
+                    line_no,
+                    column + 1,
+                )
             if literal == 0:
                 clauses.append(pending)
                 pending = []
             else:
-                if abs(literal) > n_vars:
-                    raise ParseError(
-                        f"literal {literal} exceeds declared variable count {n_vars}",
-                        line_no,
-                        1,
-                    )
                 pending.append(literal)
     if n_vars is None:
         raise ParseError("missing 'p cnf' header", max(last_line, 1), 1)

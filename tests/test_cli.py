@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from dmaxsat import count_bruteforce, k_value, parse_circuit, unpack_digits
+from dmaxsat import (
+    count_bruteforce,
+    k_value,
+    less_than_const,
+    parse_circuit,
+    print_circuit,
+    unpack_digits,
+)
 from dmaxsat.cli import main
 import dmaxsat.cli
 import dmaxsat.selftest
@@ -80,6 +87,19 @@ def test_deep_chain_is_counted_or_reported(run, tmp_path):
     path.write_text(f"p cnf 1501 1500\n{links}")
     assert run("count", str(path)) == (0, "1502\n", "")
     assert run("count", str(path), "--bound", "1503") == (0, "no\n", "")
+
+
+def test_deep_circuit_is_read_and_written(run, tmp_path):
+    # a 1500-variable comparator is a right-folded chain 3000 operators deep
+    path = tmp_path / "lt.ckt"
+    path.write_text(print_circuit(less_than_const(1500, 12345)) + "\n")
+    assert run("size", str(path)) == (0, "3000\n", "")
+    target = tmp_path / "psi.ckt"
+    code, out, err = run("psi", str(path), "--delta", "0", "--out", str(target))
+    assert (code, err) == (0, "")
+    audit = json.loads(out)
+    assert (audit["scope"], audit["size"]) == (3001, 9006)
+    assert run("size", str(target)) == (0, "9006\n", "")
 
 
 def test_size_command(run, files):
@@ -216,11 +236,14 @@ def test_selftest_pass_and_budget_zero(run):
 def test_run_report_carries_digest(files):
     from dmaxsat.cli import build_parser
 
-    args = build_parser().parse_args(["count", files["or2.ckt"]])
+    args = build_parser().parse_args(["eq2geq", files["or2.ckt"], "3"])
     report = args.handler(args)
-    assert report.command == "count"
-    assert len(report.digest) == 64
-    assert report.lines == ["3"]
+    circuit_line, audit_line = report.lines
+    assert count_bruteforce(parse_circuit(circuit_line)) == 9
+    # the digest hashes the command, the input bytes and the claim
+    assert json.loads(audit_line)["digest"] == (
+        "89cc3c69eebde8f59b07c43e4e60ce70ee5d05ce57438f0165dc83db2b908135"
+    )
     assert report.exit_code == 0
 
 

@@ -58,25 +58,48 @@ def test_parse_error_positions():
     assert err.value.column == 22
 
 
+_DEEP_UNCLOSED = "(scope 1) " + "(not " * 2000 + "x1"
+
+# each bad input with the message, line and column of its ParseError
+_BAD_CIRCUITS = {
+    "": ("unexpected end of input, expected (", 1, 1),
+    "scope": ("expected '(', got 'scope'", 1, 1),
+    "(scope": ("unexpected end of input, expected a token", 1, 7),
+    "(scope 2": ("unexpected end of input, expected )", 1, 9),
+    "(scope -1) true": ("scope must be a nonnegative integer, got '-1'", 1, 10),
+    "(scope two) true": ("scope must be a nonnegative integer, got 'two'", 1, 11),
+    "(scope \u00b2) true": ("scope must be a nonnegative integer, got '\u00b2'", 1, 9),
+    "(scope 2) (xor x1 x2)": ("expected 'not', 'and' or 'or', got 'xor'", 1, 12),
+    "(scope 2) (": ("unexpected end of input, expected a token", 1, 12),
+    "(scope 2) ()": ("expected 'not', 'and' or 'or', got ')'", 1, 12),
+    "(scope 2) (not x1 x2)": ("expected ')', got 'x2'", 1, 19),
+    "(scope 2)\n(not x1\n  x2)": ("expected ')', got 'x2'", 3, 3),
+    "(scope 2) (and x1)": ("'and' needs at least two operands", 1, 18),
+    "(scope 2) (or)": ("'or' needs at least two operands", 1, 14),
+    "(scope 2) (and x1 x2": ("unexpected end of input, expected ')'", 1, 21),
+    "(scope 2) (and x1 (not": ("unexpected end of input, expected a formula", 1, 23),
+    _DEEP_UNCLOSED: ("unexpected end of input, expected )", 1, 10013),
+    "(scope 2) x0": ("variable index must be >= 1", 1, 11),
+    "(scope 2) y1": ("expected a formula, got 'y1'", 1, 11),
+    "(scope 3) x\u0662": ("expected a formula, got 'x\u0662'", 1, 11),
+    "(scope 2)": ("unexpected end of input, expected a formula", 1, 10),
+    "(scope 2) )": ("expected a formula, got ')'", 1, 11),
+    "(scope 2) (or x1 x2))": ("unexpected trailing input ')'", 1, 21),
+    "(scope 2)\f(or x1 x2)": ("expected a formula, got '\\x0c'", 1, 10),
+}
+
+
 @pytest.mark.parametrize(
     "text",
-    [
-        "",
-        "(scope 2",
-        "(scope -1) true",
-        "(scope two) true",
-        "(scope 2) (xor x1 x2)",
-        "(scope 2) (not x1 x2)",
-        "(scope 2) (and x1)",
-        "(scope 2) (and x1 x2",
-        "(scope 2) x0",
-        "(scope 2) y1",
-        "(scope 2)",
-    ],
+    list(_BAD_CIRCUITS),
+    ids=lambda text: "unclosed-2000-deep-not" if text == _DEEP_UNCLOSED else None,
 )
 def test_parse_circuit_rejects_bad_input(text):
-    with pytest.raises(ParseError):
+    message, line, column = _BAD_CIRCUITS[text]
+    with pytest.raises(ParseError) as err:
         parse_circuit(text)
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 @given(formulas(max_scope=7))
@@ -130,11 +153,32 @@ def test_parse_dimacs_empty_clause_is_false():
         ("p cnf 2 1\n1 a 0\n", "non-integer literal"),
         ("", "missing 'p cnf' header"),
         ("p cnf 2 1\np cnf 2 1\n1 0\n", "duplicate"),
+        ("p cnf 1_0 1\n1 0\n", "malformed header 'p cnf 1_0 1'"),
+        ("p cnf +2 1\n1 0\n", "malformed header 'p cnf \\+2 1'"),
+        ("p cnf 12 1\n1 1_0 0\n", "non-integer literal '1_0'"),
+        ("p cnf 2 1\n-1 \u0662 0\n", "non-integer literal '\u0662'"),
     ],
 )
 def test_parse_dimacs_rejects_bad_input(text, match):
     with pytest.raises(ParseError, match=match):
         parse_dimacs(text)
+
+
+@pytest.mark.parametrize(
+    "text,line,column",
+    [
+        ("p cnf 2 1\n3 0\n", 2, 1),
+        ("p cnf 2 1\n1 -3 0\n", 2, 3),
+        ("p cnf 2 1\n1 a 0\n", 2, 3),
+        ("p cnf 2 1\n 1\ta 0\n", 2, 4),
+        ("p cnf 2 1\n-1 - 0\n", 2, 4),
+        ("p cnf 12 1\n1 1_0 0\n", 2, 3),
+    ],
+)
+def test_parse_dimacs_literal_errors_name_their_column(text, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(text)
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_read_formula_by_suffix(tmp_path):

@@ -17,6 +17,8 @@ from dmaxsat import (
     combine_equalities,
     count_bruteforce,
     eq_to_geq,
+    parse_circuit,
+    print_circuit,
     split_target,
     verify_threshold,
 )
@@ -156,7 +158,8 @@ def test_collapse_size_stays_linear_in_operands(data):
 @pytest.mark.parametrize("last_claim", [0, 1 << 16])
 def test_combine_builds_deep_batches_at_exact_size(last_claim):
     # 64 operands over 16 variables pack into a tree over a thousand
-    # operators deep; the last claim picks the psi branch
+    # operators deep; the last claim picks the psi branch. The round trip
+    # compares text because Node.__eq__ still recurses on depth
     rng = random.Random(1)
     operands = [random_formula(rng, 16, 34) for _ in range(64)]
     claims = [rng.randint(0, 1 << 16) for _ in range(63)] + [last_claim]
@@ -167,6 +170,10 @@ def test_combine_builds_deep_batches_at_exact_size(last_claim):
     h = collapse.packed if collapse.branch == "high" else collapse.packed.negate()
     assert collapse.query.formula.scope == 2 * 64 * 17 + 1
     assert collapse.query.formula.size() == expected_psi_size(h, collapse.delta)
+    text = print_circuit(collapse.query.formula)
+    parsed = parse_circuit(text)
+    assert print_circuit(parsed) == text
+    assert parsed.size() == collapse.query.formula.size()
 
 
 @settings(max_examples=12)
