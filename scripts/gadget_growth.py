@@ -30,7 +30,7 @@ def main() -> int:
         chain = pack_many([random_formula(rng, n, 2 * n) for _ in range(args.k)])
         print(
             f"{n:>3} {f.size():>5} {comparator.size():>7} "
-            f"{parabola.size():>7} {chain.formula.size():>12}"
+            f"{parabola.size():>7} {chain.size():>12}"
         )
     return 0
 

@@ -32,7 +32,6 @@ from .formula import (
     or_all,
 )
 from .gadgets import (
-    PackedFormula,
     k_value,
     less_than_const,
     pack_many,
@@ -72,7 +71,6 @@ __all__ = [
     "Node",
     "Not",
     "Or",
-    "PackedFormula",
     "ParseError",
     "ScopeError",
     "ScopeLimitError",

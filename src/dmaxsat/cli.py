@@ -94,16 +94,17 @@ def cmd_size(args) -> RunReport:
 
 
 def cmd_pack(args) -> RunReport:
-    packed = pack_many([read_formula(p, args.format) for p in args.paths])
+    operands = [read_formula(p, args.format) for p in args.paths]
+    packed = pack_many(operands)
     audit = {
         "cmd": "pack",
-        "digit_width": packed.digit_width,
-        "digit_count": packed.digit_count,
-        "scope": packed.formula.scope,
-        "size": packed.formula.size(),
+        "digit_width": operands[0].scope,
+        "digit_count": len(operands),
+        "scope": packed.scope,
+        "size": packed.size(),
         "digest": _digest("pack", *[_file_bytes(p) for p in args.paths]),
     }
-    return _emit_formula(args, packed.formula, audit)
+    return _emit_formula(args, packed, audit)
 
 
 def cmd_mkless(args) -> RunReport:

@@ -17,10 +17,10 @@ can mention v; a split restricts just those, flattens what they become
 into the untouched tail in sorted order, so the rest of the circuit is
 never rebuilt. :func:`count_residue` is the one splitting search. It runs
 on an explicit stack, so the number of variables never meets the
-interpreter's recursion limit, and takes an optional cap:
-:func:`count_fast` runs it uncapped, :func:`threshold_check` capped at the
-bound, and the chooser solver shares one memo of it across a whole
-branch-and-bound search.
+interpreter's recursion limit. :func:`count_fast` runs it uncapped and
+:func:`threshold_check` capped at the bound. The chooser solver runs it
+uncapped with its chooser block, relabelled to variables 1..k, maximized
+instead of summed, and reads its witness from the memo.
 
 Counts are plain Python integers, so gadget outputs far beyond machine-word
 range are exact.
@@ -120,27 +120,31 @@ def count_residue(
     scope: int,
     memo: dict[Residue, int],
     cap: int | None,
+    k: int = 0,
 ) -> int:
     """Models of ``residue`` over variables lo..scope, by variable splitting.
 
     ``residue`` (None for false) must mention no variable below ``lo``.
     The search splits on the lowest variable, False before True, and stores
-    the exact count of every residue it finishes in ``memo``, normalized to
-    the residue's own lowest variable. Every entry is a count over the same
-    ``scope``, so callers may share one memo across many calls for that
-    scope. With ``cap`` None the result is exact. With a positive ``cap``
-    it is exact when below ``cap`` and at least ``cap`` otherwise: a branch
-    that reaches its share of the cap ends its parent's split, and only
-    exact counts enter ``memo``.
+    the value of every residue it finishes in ``memo``, normalized to the
+    residue's own lowest variable. Variables 1..k are maximized instead of
+    summed: a split on one of them keeps the larger branch, and one the
+    residue skips adds no factor two. With ``k = 0`` the value is the model
+    count. Every entry is a value over the same ``scope`` and ``k``, so
+    callers may share one memo across many calls for that pair. With
+    ``cap`` None the result is exact. With a positive ``cap``, which is
+    valid only for ``k = 0``, it is exact when below ``cap`` and at least
+    ``cap`` otherwise: a branch that reaches its share of the cap ends its
+    parent's split, and only exact counts enter ``memo``.
     """
     # one frame per open split: [residue, v, lo, cap, cap over v..scope,
-    # count of the False branch or None while that branch is open]
+    # value of the False branch or None while that branch is open]
     frames: list[list] = []
     while True:
         if residue is None:
             value = 0
         elif not residue:
-            value = 1 << (scope - lo + 1)
+            value = 1 << (scope - lo + 1 if lo > k else scope - k)
         else:
             v = residue[0].min_var
             exact = memo.get(residue)
@@ -150,7 +154,8 @@ def count_residue(
                 residue = split_residue(residue, v, False)
                 lo, cap = v + 1, sub_cap
                 continue
-            value = exact << (v - lo)
+            # only summed variables skipped between lo and v double the value
+            value = exact << (v - lo if lo > k else max(v - k - 1, 0))
         # hand value to the innermost open split until one needs its True
         # branch searched
         while frames:
@@ -170,9 +175,13 @@ def count_residue(
             if sub_cap is not None and value >= sub_cap - low:
                 value = parent_cap
                 continue
-            memo[parent] = low + value
-            # low + value < sub_cap, so a capped result stays exact
-            value = (low + value) << (v - parent_lo)
+            if v > k:
+                value += low
+            elif low > value:
+                value = low
+            memo[parent] = value
+            # value < sub_cap, so a capped result stays exact
+            value <<= (v - parent_lo if parent_lo > k else max(v - k - 1, 0))
         else:
             return value
 

@@ -39,7 +39,6 @@ class ParseError(ValueError):
 _TOKEN = re.compile(r"[()]|[^ \t\r\n()]+")
 _VAR_ATOM = re.compile(r"x([0-9]+)")
 _HEADER = re.compile(r"p\s+cnf\s+([0-9]+)\s+[0-9]+")
-_LITERAL = re.compile(r"[+-]?[0-9]+")
 _WORD = re.compile(r"\S+")
 
 
@@ -177,7 +176,9 @@ def parse_dimacs(text: str) -> Formula:
         if n_vars is None:
             raise ParseError("clause line before the 'p cnf' header", line_no, 1)
         for token in line.split():
-            literal = int(token) if _LITERAL.fullmatch(token) else None
+            # accepts exactly [+-]?[0-9]+, which int alone would widen
+            ascii_int = token.isascii() and token[token[0] in "+-":].isdigit()
+            literal = int(token) if ascii_int else None
             if literal is None or abs(literal) > n_vars:
                 # every earlier token on the line was accepted, so none equals it
                 column = next(m.start() for m in _WORD.finditer(raw) if m[0] == token)

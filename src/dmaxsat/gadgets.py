@@ -26,34 +26,9 @@ Size accounting (operators added on top of the operand trees):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var, and_all
-
-
-@dataclass(frozen=True)
-class PackedFormula:
-    """A :func:`pack_many` result.
-
-    Digit i (least significant first) of the packed formula's model count,
-    read in base 2**(digit_width+1), is the model count of operand i.
-    """
-
-    formula: Formula
-    digit_width: int
-    digit_count: int
-
-    def __post_init__(self) -> None:
-        if self.formula.scope != self.total_scope:
-            raise ValueError(
-                f"packed scope {self.formula.scope} != "
-                f"{self.digit_count} * ({self.digit_width} + 1)"
-            )
-
-    @property
-    def total_scope(self) -> int:
-        return self.digit_count * (self.digit_width + 1)
 
 
 def pack_pair(f: Formula, g: Formula) -> Formula:
@@ -74,7 +49,7 @@ def pack_pair(f: Formula, g: Formula) -> Formula:
     return Formula(Or(low, high), selector)
 
 
-def pack_many(operands: Sequence[Formula]) -> PackedFormula:
+def pack_many(operands: Sequence[Formula]) -> Formula:
     """Chain k same-scope formulas into one whose count packs all k counts.
 
     The chain starts from operands[0] with one pinned-false padding variable
@@ -94,7 +69,7 @@ def pack_many(operands: Sequence[Formula]) -> PackedFormula:
     packed = Formula(And(operands[0].node, Not(Var(n + 1))), n + 1)
     for f in operands[1:]:
         packed = pack_pair(packed, f)
-    return PackedFormula(packed, n, len(operands))
+    return packed
 
 
 def unpack_digits(count: int, digit_width: int, digit_count: int) -> list[int]:

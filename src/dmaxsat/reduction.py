@@ -114,13 +114,13 @@ def combine_equalities(queries: Sequence[EqualityQuery]) -> Collapse:
         raise ValueError("combine_equalities needs at least one query")
     packed = pack_many([q.formula for q in queries])
     digits = tuple(q.claimed for q in queries)
-    step = packed.digit_width + 1
+    step = queries[0].formula.scope + 1
     target = 0
     for position, digit in enumerate(digits):
         target |= digit << (position * step)
-    query = eq_to_geq(packed.formula, target)
-    branch, delta = split_target(packed.formula.scope, target)
-    return Collapse(query, packed.formula, digits, target, branch, delta)
+    query = eq_to_geq(packed, target)
+    branch, delta = split_target(packed.scope, target)
+    return Collapse(query, packed, digits, target, branch, delta)
 
 
 def verify_threshold(query: ThresholdQuery) -> bool:

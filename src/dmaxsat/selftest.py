@@ -2,8 +2,9 @@
 
 Each suite draws cases from a seeded generator, checks one law against the
 brute-force counter, and stops at the first violation. Case sizes ramp up
-over the run and failing formulas are greedily shrunk to subtrees that
-still fail, so a reported counterexample is close to minimal.
+over the run. The pair-law, psi-law and counter suites greedily shrink a
+failing formula to a subtree that still fails, so their counterexamples
+are close to minimal.
 
 The suites resolve the constructors they exercise (pack_pair, psi_gadget,
 and so on) through this module's globals at call time, which doubles as a
@@ -124,9 +125,9 @@ def digit_law(rng: random.Random, cases: int) -> SuiteResult:
         operands = [random_formula(rng, n, 2 * n + 2) for _ in range(k)]
         packed = pack_many(operands)
         counts = [count_bruteforce(f) for f in operands]
-        digits = unpack_digits(count_bruteforce(packed.formula), n, k)
+        digits = unpack_digits(count_bruteforce(packed), n, k)
         size_cap = sum(f.size() for f in operands) + k * (2 * n + 5)
-        if digits != counts or packed.formula.size() > size_cap:
+        if digits != counts or packed.size() > size_cap:
             lines = [f"  operand {j} = {print_circuit(f)}" for j, f in enumerate(operands)]
             lines.append(f"  expected digits {counts}, got {digits}")
             return SuiteResult(name, i + 1, "\n".join(lines))

@@ -6,16 +6,16 @@ bound; the optimization problem asks for the x maximizing that count. Every
 engine returns the lexicographically least qualifying chooser assignment,
 which makes differential testing exact.
 
-:func:`max_count` and :func:`dmax_pruned` share one engine: a depth-first
-branch and bound over the chooser block, False before True. It renames the
+:func:`max_count` and :func:`dmax_pruned` share one engine. It renames the
 instance's variables once (:func:`dmaxsat.formula.renamed`) so that the
 chooser block comes first, and holds it as a flat residue (see
-:mod:`dmaxsat.counting`). A chooser prefix is split with
-:func:`dmaxsat.counting.split_residue`, and one splitting search
-(:func:`dmaxsat.counting.count_residue`) with one memo serves the whole
-branch and bound, so after the root count every prefix's residual is a
-memo lookup. Deciding prunes with the instance's fixed bound; maximizing
-prunes with incumbent + 1. :func:`dmax_decide` is the unpruned reference: it
+:mod:`dmaxsat.counting`). One max/sum search
+(:func:`dmaxsat.counting.count_residue` with k = |x|) maximizes over the
+chooser block and sums over the counted block, and memoizes the best
+y-count below every chooser prefix. A greedy descent over the chooser
+block then keeps False whenever that best still reaches the requirement
+(the instance's bound when deciding, the maximum when maximizing) and takes
+True otherwise. :func:`dmax_decide` is the unpruned reference: it
 enumerates the chooser block and counts each assignment on its own with
 :func:`count_given_x`, which restricts the chooser variables one at a time
 (:meth:`dmaxsat.formula.Node.restrict`) and counts what is left.
@@ -166,11 +166,8 @@ def dmax_decide(
 def max_count(instance: SplitInstance, limit: int = DEFAULT_LIMIT) -> Witness:
     """The chooser maximizing the y-count; ties go to the lexicographically least.
 
-    Runs the branch-and-bound search of :func:`_search` with a moving bound
-    of incumbent + 1: a partial assignment whose residual count cannot beat
-    the best leaf found so far is abandoned, and only a strictly better leaf
-    replaces the incumbent, so the first maximizing leaf in lexicographic
-    order is kept.
+    Runs :func:`_search` with the maximum itself as the requirement, so the
+    descent keeps the first maximizing chooser in lexicographic order.
     """
     _check_limits(instance, limit)
     best = _search(instance, None)
@@ -181,12 +178,12 @@ def max_count(instance: SplitInstance, limit: int = DEFAULT_LIMIT) -> Witness:
 def dmax_pruned(
     instance: SplitInstance, limit: int = DEFAULT_LIMIT
 ) -> Witness | None:
-    """Same contract as :func:`dmax_decide`, with residual-count pruning.
+    """Same contract as :func:`dmax_decide`, from one max/sum search.
 
-    Runs the branch-and-bound search of :func:`_search` with the instance's
-    fixed bound. The leaf residual is the achieved count itself, so the
-    first surviving leaf in depth-first order is exactly the witness
-    dmax_decide returns.
+    Runs :func:`_search` with the instance's fixed bound as the
+    requirement: None when the maximum is below it, and otherwise the
+    lexicographically least chooser reaching it, which is exactly the
+    witness dmax_decide returns.
     """
     bound = _required_bound(instance)
     _check_limits(instance, limit)
@@ -194,51 +191,35 @@ def dmax_pruned(
 
 
 def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
-    """Depth-first branch and bound over the chooser block, False before True.
+    """One max/sum search over the relabelled instance, then a greedy descent.
 
     The instance is relabelled once so that x_vars[i] becomes variable i+1
-    and the y block follows, and held as a flat residue. The splitting
-    counter then branches on the chooser block first, and a chooser prefix
-    is split with the counter's own split function, so its residue is one
-    the root count already met: after the root count fills the shared memo,
-    each child's residual is a memo lookup. The residual (the count
-    over all still-free variables, unassigned x plus all y) sums the
-    y-counts of the free chooser completions, so it bounds the best of them;
-    a prefix whose residual is below the bound is abandoned wholesale.
-
-    With a fixed ``bound`` the first leaf reaching it is returned (or None);
-    with ``bound=None`` the bound is incumbent + 1 and the search runs to
-    the end, returning the lexicographically least maximizing leaf.
+    and the y block follows, and held as a flat residue. One
+    :func:`dmaxsat.counting.count_residue` search with k = |x| maximizes
+    over the chooser block and sums over the y block, and leaves in its
+    memo the best y-count below every chooser prefix it met. The descent
+    then fixes x1..xk in turn: it keeps False whenever the False child's
+    best still reaches the requirement (``bound``, or the maximum when
+    ``bound`` is None) and takes True otherwise. Each child is one the
+    search already met, so its best is a memo lookup, and the leaf reached
+    is the lexicographically least chooser meeting the requirement.
     """
     k = len(instance.x_vars)
     scope = instance.formula.scope
     memo: dict[Residue, int] = {}
-    best: Witness | None = None
-    # entries are (parent residue, chooser values including the new one);
-    # the True sibling sits below the False one, so False is explored first
-    stack: list[tuple[Residue | None, tuple[bool, ...]]] = [
-        (residue_of(_relabel(instance)), ())
-    ]
-    while stack:
-        residue, values = stack.pop()
-        depth = len(values)
-        if depth and residue is not None:
-            residue = split_residue(residue, depth, values[-1])
-        residual = count_residue(residue, depth + 1, scope, memo, None)
-        if bound is not None:
-            need = bound
-        else:
-            need = 0 if best is None else best.achieved + 1
-        if residual < need:
-            continue
-        if depth == k:
-            best = Witness(values, residual)
-            if bound is not None:
-                break
-            continue
-        stack.append((residue, values + (True,)))
-        stack.append((residue, values + (False,)))
-    return best
+    residue = residue_of(_relabel(instance))
+    best = count_residue(residue, 1, scope, memo, None, k)
+    need = best if bound is None else bound
+    if best < need:
+        return None
+    values: list[bool] = []
+    for v in range(1, k + 1):
+        low = None if residue is None else split_residue(residue, v, False)
+        keep_low = count_residue(low, v + 1, scope, memo, None, k) >= need
+        residue = low if keep_low else split_residue(residue, v, True)
+        values.append(not keep_low)
+    achieved = count_residue(residue, k + 1, scope, memo, None, k)
+    return Witness(tuple(values), achieved)
 
 
 def _relabel(instance: SplitInstance) -> Node:

@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, audit lines, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -257,15 +258,52 @@ def test_module_entry_point(files):
     assert proc.stdout == "3\n"
 
 
-def test_selftest_catches_corrupted_gadget(run, monkeypatch):
-    from dmaxsat.gadgets import pack_pair as real_pack_pair
+# each name a selftest suite looks up: (suite, a corruption of the real
+# function that answers wrongly on small inputs, a line of its report)
+_CORRUPTIONS = {
+    # swaps remainder and quotient roles
+    "pack_pair": ("pair-law", lambda real: lambda f, g: real(g, f), "expected count"),
+    "psi_gadget": (
+        "psi-law",
+        lambda real: lambda f, delta: real(f.negate(), delta),
+        "expected count",
+    ),
+    "less_than_const": (
+        "threshold-law",
+        lambda real: lambda n, c: real(n, c // 2),
+        "expected count",
+    ),
+    "pack_many": (
+        "digit-law",
+        lambda real: lambda operands: real([f.negate() for f in operands]),
+        "expected digits",
+    ),
+    "eq_to_geq": ("eq-to-geq", lambda real: lambda h, y: real(h.negate(), y), "bound"),
+    "combine_equalities": (
+        "combine",
+        lambda real: lambda queries: real(list(queries)[::-1]),
+        "claims",
+    ),
+    "count_fast": ("counter", lambda real: lambda f: real(f) ^ 1, "count_bruteforce"),
+    "max_count": (
+        "solver",
+        lambda real: lambda instance: dataclasses.replace(
+            real(instance), achieved=real(instance).achieved + 1
+        ),
+        "max_count returned",
+    ),
+    "dmax_pruned": ("solver", lambda real: lambda instance: None, "engines disagree"),
+}
 
-    def corrupted(f, g):
-        return real_pack_pair(g, f)  # swaps remainder and quotient roles
 
-    monkeypatch.setattr(dmaxsat.selftest, "pack_pair", corrupted)
-    code, out, _ = run("selftest", "--seed", "42", "--budget", "50")
+@pytest.mark.parametrize("name", list(_CORRUPTIONS))
+def test_selftest_catches_corrupted_gadget(run, monkeypatch, name):
+    suite, corrupt, detail = _CORRUPTIONS[name]
+    monkeypatch.setattr(
+        dmaxsat.selftest, name, corrupt(getattr(dmaxsat.selftest, name))
+    )
+    code, out, _ = run("selftest", "--seed", "42", "--budget", "5")
     assert code == 1
-    assert "pair-law: FAIL" in out
-    assert "expected count" in out
+    assert f"{suite}: FAIL after" in out
+    assert detail in out
     assert "selftest: FAIL" in out

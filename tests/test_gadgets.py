@@ -23,7 +23,6 @@ from dmaxsat import (
     psi_gadget,
     unpack_digits,
 )
-from dmaxsat.gadgets import PackedFormula
 from dmaxsat.selftest import expected_pack_pair_size, expected_psi_size
 
 from strategies import formulas
@@ -59,19 +58,18 @@ def test_pack_many_examples():
     packed = pack_many(
         [Formula(And(Var(1), Var(2)), 2), Formula(Or(Var(1), Var(2)), 2)]
     )
-    assert packed.digit_width == 2
-    assert packed.digit_count == 2
-    assert packed.total_scope == 6
-    count = count_bruteforce(packed.formula)
+    assert packed.scope == 6  # 2 digits of width 2 plus a padding bit each
+    count = count_bruteforce(packed)
     assert count == 25  # 1 + 3 * 2**3
     assert unpack_digits(count, 2, 2) == [1, 3]
 
     single = pack_many([Formula(Var(1), 2)])
-    assert single.formula.scope == 3
-    assert count_bruteforce(single.formula) == 2
+    assert single.scope == 3
+    assert count_bruteforce(single) == 2
 
     triple = pack_many([Formula(TRUE, 1)] * 3)
-    count = count_bruteforce(triple.formula)
+    assert triple.scope == 6
+    count = count_bruteforce(triple)
     assert count == 42  # 2 + 2 * 4 + 2 * 16
     assert unpack_digits(count, 1, 3) == [2, 2, 2]
 
@@ -90,10 +88,11 @@ def test_digit_law(data):
     k = data.draw(st.integers(1, 3))
     operands = [data.draw(formulas(min_scope=n, max_scope=n)) for _ in range(k)]
     packed = pack_many(operands)
-    digits = unpack_digits(count_bruteforce(packed.formula), n, k)
+    assert packed.scope == k * (n + 1)
+    digits = unpack_digits(count_bruteforce(packed), n, k)
     assert digits == [count_bruteforce(f) for f in operands]
     size_cap = sum(f.size() for f in operands) + k * (2 * n + 5)
-    assert packed.formula.size() <= size_cap
+    assert packed.size() <= size_cap
 
 
 def test_unpack_digits_examples_and_range():
@@ -104,11 +103,6 @@ def test_unpack_digits_examples_and_range():
         unpack_digits(64, 1, 3)
     with pytest.raises(ValueError):
         unpack_digits(-1, 1, 3)
-
-
-def test_packed_formula_validates_scope():
-    with pytest.raises(ValueError):
-        PackedFormula(Formula(TRUE, 5), digit_width=2, digit_count=2)
 
 
 def test_less_than_const_examples():

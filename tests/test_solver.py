@@ -252,6 +252,19 @@ def test_deep_chain_is_relabelled_and_solved():
     assert max_count(instance, limit=n) == Witness((True,), n)
 
 
+def test_deep_chooser_block_is_maximized():
+    # x1 -> ... -> x1500 with x1..x1499 choosing: any True chooser forces
+    # x1500, so only the all-False chooser leaves y free with 2 models
+    n = 1500
+    links = "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
+    chain = parse_dimacs(f"p cnf {n} {n - 1}\n{links}")
+    instance = SplitInstance(chain, tuple(range(1, n)), (n,))
+    expected = Witness((False,) * (n - 1), 2)
+    assert max_count(instance, limit=n) == expected
+    assert dmax_pruned(dataclasses.replace(instance, bound=2), limit=n) == expected
+    assert dmax_pruned(dataclasses.replace(instance, bound=3), limit=n) is None
+
+
 def test_monotonicity_in_the_bound():
     rng = random.Random(5)
     for _ in range(30):
