@@ -1,14 +1,15 @@
 """Command-line interface: counting, gadget emission, reduction audit,
 solving, and randomized self-verification.
 
-Counts print in full decimal, gadget subcommands emit canonical circuit
-text plus one JSON audit line, and identical invocations produce identical
-stdout (selftest included, given a seed). Exit codes: 0 success (and a
-"yes" dmax verdict), 1 a "no" dmax verdict or failed selftest, 2 bad input,
-3 enumeration limit exceeded, 4 internal failure (any other exception, for
-example the recursion limit, which counting still meets on a single very
-deep conjunct), reported as one ``error: internal failure: ...`` line on
-stderr instead of a traceback.
+Counts print in full decimal at any length, gadget subcommands emit
+canonical circuit text plus one JSON audit line, and identical invocations
+produce identical stdout (selftest included, given a seed). A command runs
+in one worker thread with a raised recursion limit, so deep conjuncts are
+counted. Exit codes: 0 success (and a "yes" dmax verdict), 1 a "no" dmax
+verdict or failed selftest, 2 bad input, 3 enumeration limit exceeded, 4
+internal failure (any other exception, for example the recursion limit on
+input deeper than that), reported as one ``error: internal failure: ...``
+line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
+import threading
 from dataclasses import dataclass, field
 
 from .counting import (
@@ -314,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     try:
         report = args.handler(args)
     except ScopeLimitError as exc:
@@ -332,6 +333,31 @@ def main(argv: list[str] | None = None) -> int:
     for line in report.lines:
         print(line)
     return report.exit_code
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command in one worker thread and return its exit code; the
+    recursion limit, stack size and int/str digit cap are restored on return."""
+    depth, stack = sys.getrecursionlimit(), threading.stack_size()
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    try:
+        if digits is not None:
+            sys.set_int_max_str_digits(0)
+        args = build_parser().parse_args(argv)
+        # the recursive formula walks meet the default limit near depth
+        # 1000; a 256 MB stack holds the raised limit's Python frames
+        threading.stack_size(256 << 20)
+        sys.setrecursionlimit(200_000)
+        codes: list[int] = []
+        worker = threading.Thread(target=lambda: codes.append(_run(args)), daemon=True)
+        worker.start()
+        worker.join()
+        return codes[0]
+    finally:
+        sys.setrecursionlimit(depth)
+        threading.stack_size(stack)
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -137,53 +137,48 @@ def count_residue(
     ``cap`` otherwise: a branch that reaches its share of the cap ends its
     parent's split, and only exact counts enter ``memo``.
     """
-    # one frame per open split: [residue, v, lo, cap, cap over v..scope,
-    # value of the False branch or None while that branch is open]
+    # one frame per open split: [residue, v, lo, cap over v..scope, value
+    # of the False branch or None while that branch is open]
     frames: list[list] = []
     while True:
         if residue is None:
-            value = 0
+            v, value = lo, 0
         elif not residue:
-            value = 1 << (scope - lo + 1 if lo > k else scope - k)
+            # the empty residue is a memo hit of 1 past the last variable
+            v, value = scope + 1, 1
         else:
             v = residue[0].min_var
-            exact = memo.get(residue)
-            if exact is None:
+            value = memo.get(residue)
+            if value is None:
                 sub_cap = None if cap is None else ((cap - 1) >> (v - lo)) + 1
-                frames.append([residue, v, lo, cap, sub_cap, None])
+                frames.append([residue, v, lo, sub_cap, None])
                 residue = split_residue(residue, v, False)
                 lo, cap = v + 1, sub_cap
                 continue
+        # scale the value at v to lo..scope and hand it to the innermost
+        # open split, until one needs its True branch searched
+        while True:
             # only summed variables skipped between lo and v double the value
-            value = exact << (v - lo if lo > k else max(v - k - 1, 0))
-        # hand value to the innermost open split until one needs its True
-        # branch searched
-        while frames:
+            value <<= v - lo if lo > k else max(v - k - 1, 0)
+            if not frames:
+                return value
             frame = frames[-1]
-            parent, v, parent_lo, parent_cap, sub_cap, low = frame
+            parent, v, lo, sub_cap, low = frame
+            if sub_cap is not None and value >= sub_cap - (low or 0):
+                # the split reaches its cap; caps imply k = 0, so the shift
+                # above makes this at least the split's own cap
+                frames.pop()
+                value = sub_cap
+                continue
             if low is None:
-                if sub_cap is not None and value >= sub_cap:
-                    frames.pop()
-                    value = parent_cap
-                    continue
-                frame[5] = value
+                frame[4] = value
                 residue = split_residue(parent, v, True)
                 lo = v + 1
                 cap = None if sub_cap is None else sub_cap - value
                 break
             frames.pop()
-            if sub_cap is not None and value >= sub_cap - low:
-                value = parent_cap
-                continue
-            if v > k:
-                value += low
-            elif low > value:
-                value = low
+            value = value + low if v > k else max(value, low)
             memo[parent] = value
-            # value < sub_cap, so a capped result stays exact
-            value <<= (v - parent_lo if parent_lo > k else max(v - k - 1, 0))
-        else:
-            return value
 
 
 def count_fast(f: Formula) -> int:

@@ -1,9 +1,11 @@
 """CLI behavior: outputs, exit codes, audit lines, determinism."""
 
 import dataclasses
+import decimal
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -13,6 +15,7 @@ from dmaxsat import (
     less_than_const,
     parse_circuit,
     print_circuit,
+    psi_gadget,
     unpack_digits,
 )
 from dmaxsat.cli import main
@@ -101,6 +104,38 @@ def test_deep_circuit_is_read_and_written(run, tmp_path):
     audit = json.loads(out)
     assert (audit["scope"], audit["size"]) == (3001, 9006)
     assert run("size", str(target)) == (0, "9006\n", "")
+
+
+def test_deep_conjunct_is_counted(run, tmp_path):
+    # the psi gadget of a 1200-variable comparator and a 3000-deep negation
+    # nest are single conjuncts far deeper than the default recursion limit
+    path = tmp_path / "psi.ckt"
+    path.write_text(print_circuit(psi_gadget(less_than_const(1200, 12345), 0)) + "\n")
+    assert run("count", str(path), "--bound", "1") == (0, "yes\n", "")
+    path = tmp_path / "nest.ckt"
+    path.write_text("(scope 1) " + "(not " * 3000 + "x1" + ")" * 3000 + "\n")
+    assert run("count", str(path), "--engine", "brute") == (0, "1\n", "")
+    assert run("count", str(path)) == (0, "1\n", "")
+
+
+def test_counts_of_any_length_print(run, tmp_path):
+    with decimal.localcontext() as context:
+        context.prec = 7000
+        models = str(decimal.Decimal(2) ** 20000)
+    cnf = tmp_path / "free.cnf"
+    cnf.write_text("p cnf 20000 0\n")
+    ckt = tmp_path / "free.ckt"
+    ckt.write_text("(scope 20000) true\n")
+    depth, stack = sys.getrecursionlimit(), threading.stack_size()
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert len(models) == 6021
+    assert run("count", str(cnf)) == (0, models + "\n", "")
+    assert run("count", str(ckt)) == (0, models + "\n", "")
+    assert run("count", str(cnf), "--bound", models) == (0, "yes\n", "")
+    assert run("count", str(cnf), "--bound", models + "1") == (0, "no\n", "")
+    # main restores what it raised for the command
+    assert (sys.getrecursionlimit(), threading.stack_size()) == (depth, stack)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digits
 
 
 def test_size_command(run, files):
@@ -232,6 +267,23 @@ def test_selftest_pass_and_budget_zero(run):
     code, out, _ = run("selftest", "--budget", "0")
     assert code == 0
     assert "0 cases" in out and "PASS" in out
+
+
+def test_selftest_output_is_pinned(run):
+    code, out, _ = run("selftest", "--seed", "42", "--budget", "10")
+    assert code == 0
+    assert out.splitlines() == [
+        "pair-law: 10 cases ok",
+        "digit-law: 10 cases ok",
+        "threshold-law: 134 cases ok",
+        "psi-law: 17 cases ok",
+        "apex-law: 780 cases ok",
+        "eq-to-geq: 52 cases ok",
+        "combine: 100 cases ok",
+        "solver: 10 cases ok",
+        "counter: 10 cases ok",
+        "selftest: PASS (9 suites, 1123 cases, seed 42)",
+    ]
 
 
 def test_run_report_carries_digest(files):
