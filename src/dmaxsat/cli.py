@@ -3,13 +3,13 @@ solving, and randomized self-verification.
 
 Counts print in full decimal at any length, gadget subcommands emit
 canonical circuit text plus one JSON audit line, and identical invocations
-produce identical stdout (selftest included, given a seed). A command runs
-in one worker thread with a raised recursion limit, so deep conjuncts are
-counted. Exit codes: 0 success (and a "yes" dmax verdict), 1 a "no" dmax
-verdict or failed selftest, 2 bad input, 3 enumeration limit exceeded, 4
-internal failure (any other exception, for example the recursion limit on
-input deeper than that), reported as one ``error: internal failure: ...``
-line on stderr instead of a traceback.
+produce identical stdout (selftest included, given a seed). A command that
+meets the recursion limit runs again in a worker thread with a raised
+limit, so deep conjuncts are counted. Exit codes: 0 success (and a "yes"
+dmax verdict), 1 a "no" dmax verdict or failed selftest, 2 bad input, 3
+enumeration limit exceeded, 4 internal failure (any other exception, for
+example the recursion limit on input deeper than that), reported as one
+``error: internal failure: ...`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -226,18 +226,12 @@ def cmd_selftest(args) -> RunReport:
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=("circuit", "dimacs"),
-        default=None,
-        help="input format; default is by file suffix (.ckt/.cnf)",
-    )
+    p.add_argument("--format", choices=("circuit", "dimacs"), default=None,
+                   help="input format; default is by file suffix (.ckt/.cnf)")
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--out", default=None, help="write the circuit to FILE instead of stdout"
-    )
+    p.add_argument("--out", default=None, help="write the circuit to FILE instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,9 +310,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _handle(args) -> RunReport:
+    """The command's report. A command that meets the recursion limit (the
+    formula walks recurse) runs once more in one worker thread whose 256 MB
+    stack holds a limit of 200000; commands write only once they are done."""
+    try:
+        return args.handler(args)
+    except RecursionError:
+        pass  # run again below, once this stack has unwound
+    from concurrent.futures import ThreadPoolExecutor  # only deep input needs it
+    depth, stack = sys.getrecursionlimit(), threading.stack_size(256 << 20)
+    try:
+        sys.setrecursionlimit(200_000)
+        with ThreadPoolExecutor(1) as pool:
+            return pool.submit(args.handler, args).result()
+    finally:
+        sys.setrecursionlimit(depth)
+        threading.stack_size(stack)
+
+
 def _run(args) -> int:
     try:
-        report = args.handler(args)
+        report = _handle(args)
     except ScopeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -336,26 +349,14 @@ def _run(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command in one worker thread and return its exit code; the
-    recursion limit, stack size and int/str digit cap are restored on return."""
-    depth, stack = sys.getrecursionlimit(), threading.stack_size()
+    """Run one command and return its exit code, with the int/str digit cap
+    lifted; the cap, recursion limit and stack size are restored on return."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         if digits is not None:
             sys.set_int_max_str_digits(0)
-        args = build_parser().parse_args(argv)
-        # the recursive formula walks meet the default limit near depth
-        # 1000; a 256 MB stack holds the raised limit's Python frames
-        threading.stack_size(256 << 20)
-        sys.setrecursionlimit(200_000)
-        codes: list[int] = []
-        worker = threading.Thread(target=lambda: codes.append(_run(args)), daemon=True)
-        worker.start()
-        worker.join()
-        return codes[0]
+        return _run(build_parser().parse_args(argv))
     finally:
-        sys.setrecursionlimit(depth)
-        threading.stack_size(stack)
         if digits is not None:
             sys.set_int_max_str_digits(digits)
 
