@@ -5,39 +5,35 @@ Two engines with identical semantics:
 * :func:`count_bruteforce` evaluates every assignment in the scope. It is
   the trusted oracle every other contract in this package is checked
   against, so it stays free of pruning, sharing, and shortcuts.
-* :func:`count_fast` splits on the lowest undetermined variable, propagates
-  constants, and memoizes the count of every residue it meets. Unused
-  scope variables contribute a factor two each.
+* :func:`count_fast` runs one memoized search, :func:`count_residue`, that
+  forces literals, multiplies interval components, counts ``Not(X)`` as a
+  complement and splits gadget selectors before it splits on the lowest
+  variable. Unused scope variables contribute a factor two each.
 
 A residue is the circuit's top-level conjunction held flat: a tuple of its
 conjuncts, none of them an ``And`` or free of variables, sorted by
-``(min_var, hash_)``. Because the search always splits on the residue's
-lowest variable v, only its leading conjuncts (those with ``min_var == v``)
-can mention v; a split restricts just those, flattens what they become
-into the untouched tail in sorted order, so the rest of the circuit is
-never rebuilt. :func:`count_residue` is the one splitting search. It runs
-on an explicit stack, so the number of variables never meets the
-interpreter's recursion limit. :func:`count_fast` runs it uncapped and
-:func:`threshold_check` capped at the bound. The chooser solver runs it
-uncapped with its chooser block, relabelled to variables 1..k, maximized
-instead of summed, and reads its witness from the memo.
-
-Counts are plain Python integers, so gadget outputs far beyond machine-word
-range are exact.
+``(min_var, hash_)``. :func:`restrict_residue` sets one variable and shares
+every conjunct that cannot mention it. The search runs on an explicit
+stack of split, product and complement frames, so no input meets the
+recursion limit. :func:`threshold_check` runs it capped at the bound, and
+the chooser solver with its chooser block 1..k maximized instead of summed.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from operator import attrgetter
 
-from .formula import FALSE, TRUE, And, Formula, Node
+from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var
 
 DEFAULT_LIMIT = 24
 
 Residue = tuple[Node, ...]
 
 _ORDER = attrgetter("min_var", "hash_")
+_MIN = attrgetter("min_var")
+_MAX = attrgetter("max_var")
+_SPLIT, _PRODUCT, _COMPLEMENT = range(3)  # the kinds of search frames
 
 
 class ScopeLimitError(RuntimeError):
@@ -64,8 +60,7 @@ def _flatten(pending: list[Node], out: list[Node]) -> bool:
     while pending:
         node = pending.pop()
         if type(node) is And:
-            pending.append(node.right)
-            pending.append(node.left)
+            pending += (node.right, node.left)
         elif node.min_var == 0:
             if not node.eval_mask(0):
                 return False
@@ -83,35 +78,86 @@ def residue_of(node: Node) -> Residue | None:
     return tuple(out)
 
 
-def split_residue(residue: Residue, v: int, value: bool) -> Residue | None:
-    """``residue`` with variable ``v`` set to ``value``; None when false.
+def restrict_residue(
+    residue: Residue, u: int, value: bool, fresh: list[Node] | None = None
+) -> Residue | None:
+    """``residue`` with variable ``u`` set to ``value``; None when false.
 
-    No conjunct may mention a variable below ``v``. Conjuncts that do not
-    mention ``v`` are shared with ``residue``, which comes back unchanged
-    when none does.
+    Only conjuncts whose interval ``min_var..max_var`` holds ``u`` are
+    restricted; the scan stops at the first one starting above ``u``, and
+    the rest are shared (``residue`` itself when none mentions ``u``). What
+    the restricted ones flatten into is appended to ``fresh`` if given.
     """
-    fresh: list[Node] = []
+    kept: list[Node] = []
+    new: list[Node] = []
     j = 0
+    for c in residue:
+        if c.min_var > u:
+            break
+        j += 1
+        r = c.restrict(u, value) if c.max_var >= u else c
+        if r is c:
+            kept.append(c)
+        elif r is FALSE:
+            return None
+        elif r is not TRUE:
+            new.append(r)
+    if len(kept) == j:
+        return residue
+    if not new:
+        return tuple(kept) + residue[j:] if kept else residue[j:]
+    flat: list[Node] = []
+    if not _flatten(new, flat):
+        return None
+    if fresh is not None:
+        fresh += flat
+    out = kept + list(residue[j:])
+    for c in flat:
+        insort(out, c, key=_ORDER)
+    return tuple(out)
+
+
+def _reach(residue: Residue, u: int) -> int:
+    # the highest variable of any conjunct a restriction on u may change
+    return max(map(_MAX, residue[: bisect_right(residue, u, key=_MIN)]))
+
+
+def _boundary(residue: Residue, reach: int) -> int:
+    # index of the first conjunct starting above every variable before it,
+    # or 0; none starts above reach
+    top = residue[0].max_var
+    last = min(reach, residue[-1].min_var)
+    i = 1
+    while top < last:
+        if residue[i].min_var > top:
+            return i
+        top = max(top, residue[i].max_var)
+        i += 1
+    return 0
+
+
+def _literal(node: Node) -> int:
+    # v for the literal xv, -v for (not xv), 0 for any other node
+    if type(node) is Var:
+        return node.index
+    if type(node) is Not and type(node.child) is Var:
+        return -node.child.index
+    return 0
+
+
+def _decision(residue: Residue, v: int) -> int:
+    # the lowest variable that the two sides of a leading Or set to opposite
+    # values, so that either value of it falsifies one side; else v
     for c in residue:
         if c.min_var != v:
             break
-        j += 1
-        c = c.restrict(v, value)
-        if c is FALSE:
-            return None
-        if c is not TRUE:
-            fresh.append(c)
-    if not j:
-        return residue
-    if not fresh:
-        return residue[j:]
-    kept: list[Node] = []
-    if not _flatten(fresh, kept):
-        return None
-    out = list(residue[j:])
-    for c in kept:
-        insort(out, c, key=_ORDER)
-    return tuple(out)
+        if type(c) is Or:
+            both = {_literal(x) for x in residue_of(c.left) or ()}
+            both &= {-_literal(x) for x in residue_of(c.right) or ()}
+            both.discard(0)
+            if both:
+                return min(map(abs, both))
+    return v
 
 
 def count_residue(
@@ -122,24 +168,33 @@ def count_residue(
     cap: int | None,
     k: int = 0,
 ) -> int:
-    """Models of ``residue`` over variables lo..scope, by variable splitting.
+    """Models of ``residue`` (None for false) over lo..scope, by one search.
 
-    ``residue`` (None for false) must mention no variable below ``lo``.
-    The search splits on the lowest variable, False before True, and stores
-    the value of every residue it finishes in ``memo``, normalized to the
-    residue's own lowest variable. Variables 1..k are maximized instead of
-    summed: a split on one of them keeps the larger branch, and one the
-    residue skips adds no factor two. With ``k = 0`` the value is the model
-    count. Every entry is a value over the same ``scope`` and ``k``, so
-    callers may share one memo across many calls for that pair. With
-    ``cap`` None the result is exact. With a positive ``cap``, which is
-    valid only for ``k = 0``, it is exact when below ``cap`` and at least
-    ``cap`` otherwise: a branch that reaches its share of the cap ends its
-    parent's split, and only exact counts enter ``memo``.
+    ``residue`` must mention no variable below ``lo``; let v be its lowest.
+    If v > k, the first step that applies is taken: (1) a literal conjunct
+    forces its variable, a split whose other branch is false; (2) a prefix
+    whose variables all lie below the next conjunct's is a component, and
+    the value is the product of the two parts; (3) a single ``Not(X)`` has
+    ``2**(scope - v + 1)`` minus the value of X; (4) a leading ``Or`` whose
+    sides hold opposite literals of one variable (a gadget's selector) is
+    split on it. Otherwise the residue is split on v, False before True.
+    ``memo`` keeps the value of every residue finished over its own lowest
+    variable through ``scope``; a split on u > v halves its branches' sum.
+    Variables 1..k are maximized instead of summed (a split on one keeps
+    the larger branch; one the residue skips adds no factor two); with
+    ``k = 0`` the value is the model count. Entries depend only on ``scope``
+    and ``k``. A positive ``cap`` (k = 0 only) makes the result exact below
+    ``cap`` and at least ``cap`` otherwise: a split passes each branch the
+    remaining cap, a product divides it by its finished factor, a
+    complement counts exactly, and only exact values are stored.
     """
-    # one frame per open split: [residue, v, lo, cap over v..scope, value
-    # of the False branch or None while that branch is open]
+    # frames are [kind, residue, v, lo, need, acc, u]. A split on u caps its
+    # branches' sum at need and holds the finished one's value in acc (0 for
+    # a forced literal's false branch). A product's second factor starts at
+    # index u; acc is the first factor's models below it.
     frames: list[list] = []
+    fresh: list[Node] | None = None  # conjuncts the last restriction made
+    reach = scope  # no component starts at a conjunct above this variable
     while True:
         if residue is None:
             v, value = lo, 0
@@ -150,43 +205,84 @@ def count_residue(
             v = residue[0].min_var
             value = memo.get(residue)
             if value is None:
-                sub_cap = None if cap is None else ((cap - 1) >> (v - lo)) + 1
-                frames.append([residue, v, lo, sub_cap, None])
-                residue = split_residue(residue, v, False)
-                lo, cap = v + 1, sub_cap
+                if cap is not None:
+                    cap = ((cap - 1) >> (v - lo)) + 1
+                u, first, acc = v, False, None
+                if v <= k:
+                    fresh, reach = None, scope
+                else:
+                    scan = residue if fresh is None else fresh
+                    lits = [c for c in scan if _literal(c)]
+                    if lits:
+                        u, first, acc = lits[0].min_var, type(lits[0]) is Var, 0
+                        fresh = [c for c in lits if c.min_var != u]
+                    else:
+                        i = _boundary(residue, reach)
+                        if i:
+                            frames.append([_PRODUCT, residue, v, lo, cap, None, i])
+                            residue, lo, cap, fresh, reach = residue[:i], v, None, [], 0
+                            continue
+                        if len(residue) == 1 and type(residue[0]) is Not:
+                            frames.append([_COMPLEMENT, residue, v, lo, None, None, v])
+                            residue, lo, cap = residue_of(residue[0].child), v, None
+                            fresh, reach = None, scope
+                            continue
+                        u, fresh, reach = _decision(residue, v), [], 0
+                    reach = max(reach, _reach(residue, u))
+                shift = u != v
+                need = None if cap is None else cap << shift
+                frames.append([_SPLIT, residue, v, lo, need, acc, u])
+                residue = restrict_residue(residue, u, first, fresh)
+                lo, cap = v + 1 - shift, need
                 continue
         # scale the value at v to lo..scope and hand it to the innermost
-        # open split, until one needs its True branch searched
+        # open frame, until one needs another child searched
         while True:
             # only summed variables skipped between lo and v double the value
             value <<= v - lo if lo > k else max(v - k - 1, 0)
             if not frames:
                 return value
             frame = frames[-1]
-            parent, v, lo, sub_cap, low = frame
-            if sub_cap is not None and value >= sub_cap - (low or 0):
-                # the split reaches its cap; caps imply k = 0, so the shift
-                # above makes this at least the split's own cap
-                frames.pop()
-                value = sub_cap
-                continue
-            if low is None:
-                frame[4] = value
-                residue = split_residue(parent, v, True)
-                lo = v + 1
-                cap = None if sub_cap is None else sub_cap - value
+            kind, parent, v, lo, need, acc, u = frame
+            if kind == _SPLIT:
+                shift = u != v
+                if need is not None and value >= need - (acc or 0):
+                    # the split reaches its cap; caps imply k = 0, so the
+                    # shift above makes this at least the split's own cap
+                    frames.pop()
+                    value = need >> shift
+                    continue
+                if acc is None:
+                    frame[5] = value
+                    fresh, reach = (None, scope) if v <= k else ([], _reach(parent, u))
+                    residue = restrict_residue(parent, u, True, fresh)
+                    lo = v + 1 - shift
+                    cap = None if need is None else need - value
+                    break
+                value = (value + acc if v > k else max(value, acc)) >> shift
+            elif kind == _PRODUCT and acc is None and value:
+                b = parent[u].min_var
+                acc = frame[5] = value >> (scope - b + 1)
+                residue, lo, fresh, reach = parent[u:], b, [], scope
+                cap = None if need is None else -(-need // acc)
                 break
+            elif kind == _PRODUCT:
+                value *= acc or 0  # a first factor of 0 needs no second
+            else:
+                value = (1 << (scope - v + 1)) - value
             frames.pop()
-            value = value + low if v > k else max(value, low)
-            memo[parent] = value
+            # a product reaching its cap is not exact
+            if need is None or value < need:
+                memo[parent] = value
 
 
 def count_fast(f: Formula) -> int:
-    """Model count by variable splitting with residue memoization.
+    """Model count by the search of :func:`count_residue`, uncapped.
 
-    Agrees with :func:`count_bruteforce` on every input. Splitting always
-    picks the lowest-indexed undetermined variable, so traces are
-    reproducible; the memo table lives only for this invocation.
+    Agrees with :func:`count_bruteforce` on every input. Its four steps
+    (forced literals, interval components, complements, selector splits)
+    apply in a fixed order, so traces are reproducible; the memo table
+    lives only for this invocation.
     """
     return count_residue(residue_of(f.node), 1, f.scope, {}, None)
 
@@ -195,8 +291,9 @@ def threshold_check(f: Formula, bound: int) -> bool:
     """Decide count(f) >= bound, stopping once the answer is forced.
 
     Runs the search of :func:`count_fast` capped at the bound: a branch
-    that provably reaches the remaining requirement ends the search. Only
-    exact residue counts enter the memo table.
+    that reaches its share of the bound ends its parent, a product caps its
+    second factor at the bound divided by the first, and a complement
+    counts exactly. Only exact residue counts enter the memo table.
     """
     if bound <= 0:
         return True

@@ -2,7 +2,7 @@
 
 import hypothesis.strategies as st
 
-from dmaxsat import FALSE, TRUE, And, Formula, Not, Or, Var
+from dmaxsat import FALSE, TRUE, And, Formula, Not, Or, Var, pack_many, psi_gadget
 from dmaxsat.generate import folded
 
 
@@ -44,3 +44,23 @@ def cnf_formulas(draw, max_scope: int = 8, max_clauses: int = 10) -> Formula:
     if clauses:
         clauses += draw(st.lists(st.sampled_from(clauses), max_size=2))
     return Formula(folded(And, clauses, draw(st.booleans())), scope)
+
+
+@st.composite
+def gadget_formulas(draw, max_scope: int = 11) -> Formula:
+    """pack_many of one to three same-scope formulas, each sometimes negated,
+    the packed formula sometimes negated and sometimes passed through
+    psi_gadget with a drawn valid delta; the scope stays at most max_scope."""
+    count = draw(st.integers(1, 3))
+    n = draw(st.integers(0, max_scope // count - 1))
+    operands = []
+    for _ in range(count):
+        f = draw(formulas(n, n))
+        operands.append(f.negate() if draw(st.booleans()) else f)
+    packed = pack_many(operands)
+    if draw(st.booleans()):
+        packed = packed.negate()
+    if 2 * packed.scope + 1 <= max_scope and draw(st.booleans()):
+        delta = draw(st.integers(0, 1 << (packed.scope - 1)))
+        packed = psi_gadget(packed, delta)
+    return packed

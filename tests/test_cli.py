@@ -261,9 +261,7 @@ def test_gadget_outputs_are_deterministic(run, files):
 
 
 def test_selftest_pass_and_budget_zero(run):
-    code, out, _ = run("selftest", "--seed", "42", "--budget", "10")
-    assert code == 0
-    assert "selftest: PASS" in out
+    # the passing seeded run is pinned by test_selftest_output_is_pinned
     code, out, _ = run("selftest", "--budget", "0")
     assert code == 0
     assert "0 cases" in out and "PASS" in out

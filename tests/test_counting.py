@@ -2,7 +2,10 @@
 
 import dataclasses
 import gc
+import random
+import sys
 from functools import reduce
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,15 +21,24 @@ from dmaxsat import (
     ScopeLimitError,
     SplitInstance,
     Var,
+    and_all,
     count_bruteforce,
     count_fast,
+    dmax_decide,
     dmax_pruned,
     max_count,
     parse_dimacs,
     threshold_check,
 )
 
-from strategies import cnf_formulas, formulas
+from dmaxsat.counting import count_residue, residue_of
+
+from strategies import cnf_formulas, formulas, gadget_formulas
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from corpus import random_3cnf  # noqa: E402
+
+X1, X2, X3, X4, X5 = map(Var, range(1, 6))
 
 
 def test_bruteforce_basics():
@@ -162,3 +174,93 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@settings(max_examples=60)
+@given(gadget_formulas(), st.data())
+def test_gadget_counts_and_thresholds_match_bruteforce(f, data):
+    count = count_bruteforce(f)
+    assert count_fast(f) == count
+    drawn = data.draw(st.integers(0, (1 << f.scope) + 1))
+    for bound in (0, 1, count, count + 1, drawn):
+        assert threshold_check(f, bound) == (count >= bound)
+
+
+@settings(max_examples=40)
+@given(gadget_formulas(), st.data())
+def test_gadget_chooser_engines_match_enumeration(f, data):
+    order = data.draw(st.permutations(range(1, f.scope + 1)))
+    cut = data.draw(st.integers(0, f.scope))
+    instance = SplitInstance(f, tuple(order[:cut]), tuple(order[cut:]))
+    best = max_count(instance)
+    assert dmax_decide(dataclasses.replace(instance, bound=best.achieved)) == best
+    bound = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
+    bounded = dataclasses.replace(instance, bound=bound)
+    assert dmax_pruned(bounded) == dmax_decide(bounded)
+
+
+def _searched(node, scope):
+    # the memo that one uncapped search leaves, once its count is checked
+    memo = {}
+    value = count_residue(residue_of(node), 1, scope, memo, None)
+    assert value == count_bruteforce(Formula(node, scope))
+    return memo
+
+
+def test_forced_literal_is_split_first():
+    # forcing the literal x2 above the lowest variable leaves the unit x3
+    # next to Or(x1, x3), a residue that splitting on x1 first never meets
+    memo = _searched(and_all([Or(X1, X3), X2, Or(Not(X2), X3)]), 3)
+    assert residue_of(And(Or(X1, X3), X3)) in memo
+
+
+def test_interval_component_is_counted_alone():
+    # Or(x1, x2) shares no variable with the conjuncts above it
+    memo = _searched(and_all([Or(X1, X2), Or(X3, X4), Or(Not(X3), X5)]), 5)
+    assert residue_of(Or(X1, X2)) in memo
+    assert residue_of(And(Or(X3, X4), Or(Not(X3), X5))) in memo
+
+
+def test_single_negation_is_counted_as_a_complement():
+    inner = Or(And(X1, X2), X3)
+    memo = _searched(Not(inner), 3)
+    assert residue_of(inner) in memo
+
+
+def test_selector_or_is_split_on_its_selector():
+    # the sides pin x4 to opposite values, so the split on x4 comes before
+    # the one on x1 and leaves each side alone
+    low = And(Or(X1, X2), Not(X4))
+    high = And(Or(X1, X3), X4)
+    memo = _searched(Or(low, high), 4)
+    assert residue_of(Or(X1, X2)) in memo
+    assert residue_of(Or(X1, X3)) in memo
+
+
+def test_caps_still_cut_the_search():
+    cnf = random_3cnf(random.Random(1), 24, 3.0)
+    residue = residue_of(parse_dimacs(cnf.text()).node)
+    capped, exact = {}, {}
+    count = count_residue(residue, 1, 24, exact, None)
+    assert count > 0
+    assert count_residue(residue, 1, 24, capped, 1) >= 1
+    assert len(capped) < len(exact)
+
+
+def test_deep_input_is_counted_without_recursion():
+    # the search and the restriction of a long chain's flat residue run on
+    # explicit stacks; a deep negation nest is counted as nested complements
+    n = 1500
+    links = "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
+    chain = parse_dimacs(f"p cnf {n} {n - 1}\n{links}")
+    nest = X1
+    for _ in range(3000):
+        nest = Not(nest)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for f, count in ((chain, n + 1), (Formula(nest, 1), 1)):
+            assert count_fast(f) == count
+            assert not threshold_check(f, count + 1)
+    finally:
+        sys.setrecursionlimit(limit)
