@@ -6,23 +6,30 @@ Two engines with identical semantics:
   the trusted oracle every other contract in this package is checked
   against, so it stays free of pruning, sharing, and shortcuts.
 * :func:`count_fast` runs one memoized search, :func:`count_residue`, that
-  forces literals, multiplies interval components, counts ``Not(X)`` as a
-  complement and splits gadget selectors before it splits on the lowest
-  variable. Unused scope variables contribute a factor two each.
+  forces runs of literals, multiplies interval components, counts ``Not(X)``
+  as a complement, and splits a lone ``Or`` at its top literal and gadget
+  selectors at theirs before it splits on the lowest variable. Unused scope
+  variables contribute a factor two each.
 
 A residue is the circuit's top-level conjunction held flat: a tuple of its
 conjuncts, none of them an ``And`` or free of variables, sorted by
-``(min_var, hash_)``. :func:`restrict_residue` sets one variable and shares
-every conjunct that cannot mention it. The search runs on an explicit
-stack of split, product and complement frames, so no input meets the
-recursion limit. :func:`threshold_check` runs it capped at the bound, and
-the chooser solver with its chooser block 1..k maximized instead of summed.
+``(min_var, hash_)``. :func:`restrict_residue` sets a sorted run of
+variables and shares every conjunct that cannot mention them. The search
+itself runs on an explicit stack of split, product and complement frames,
+but the tree walks it calls still recurse: :meth:`Node.restrict` down to
+the variable it sets, and ``Node.__eq__`` through equal but distinct
+conjuncts when a memo lookup compares them. A deep tree is safe when the
+search sets only variables near its top, as it does on a comparator chain,
+and may meet the recursion limit otherwise. :func:`threshold_check` runs
+the search capped at the bound, and the chooser solver with its chooser
+block 1..k maximized instead of summed.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from operator import attrgetter
+from typing import Sequence
 
 from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var
 
@@ -79,23 +86,35 @@ def residue_of(node: Node) -> Residue | None:
 
 
 def restrict_residue(
-    residue: Residue, u: int, value: bool, fresh: list[Node] | None = None
+    residue: Residue, run: Sequence[tuple[int, bool]], fresh: list[Node] | None = None
 ) -> Residue | None:
-    """``residue`` with variable ``u`` set to ``value``; None when false.
+    """``residue`` with each ``(u, value)`` of ``run`` set; None when false.
 
-    Only conjuncts whose interval ``min_var..max_var`` holds ``u`` are
-    restricted; the scan stops at the first one starting above ``u``, and
-    the rest are shared (``residue`` itself when none mentions ``u``). What
-    the restricted ones flatten into is appended to ``fresh`` if given.
+    ``run`` is sorted by variable. A conjunct is restricted by the pairs
+    whose variable lies in its interval ``min_var..max_var``; the scan stops
+    at the first conjunct starting above the largest variable, and the rest
+    are shared (``residue`` itself when no conjunct changes). What the
+    restricted ones flatten into is appended to ``fresh`` if given.
     """
+    top = run[-1][0]
+    end = len(run)
     kept: list[Node] = []
     new: list[Node] = []
-    j = 0
+    j = p = 0
     for c in residue:
-        if c.min_var > u:
+        low = c.min_var
+        if low > top:
             break
         j += 1
-        r = c.restrict(u, value) if c.max_var >= u else c
+        while run[p][0] < low:
+            p += 1
+        r, q = c, p
+        while q < end:
+            u, value = run[q]
+            if u > r.max_var:
+                break
+            r = r.restrict(u, value)
+            q += 1
         if r is c:
             kept.append(c)
         elif r is FALSE:
@@ -146,14 +165,28 @@ def _literal(node: Node) -> int:
 
 
 def _decision(residue: Residue, v: int) -> int:
-    # the lowest variable that the two sides of a leading Or set to opposite
-    # values, so that either value of it falsifies one side; else v
+    # the variable to split on when no other step applies: the top variable
+    # of a lone Or whose one side is a literal on it and whose other side
+    # lies below it; else the lowest variable that the two sides of a
+    # leading Or need set to opposite values (a false side is falsified by
+    # either value of any variable); else v
+    c = residue[0]
+    if len(residue) == 1 and type(c) is Or:
+        u = c.max_var
+        if abs(_literal(c.left)) == u > c.right.max_var:
+            return u
+        if abs(_literal(c.right)) == u > c.left.max_var:
+            return u
     for c in residue:
         if c.min_var != v:
             break
         if type(c) is Or:
-            both = {_literal(x) for x in residue_of(c.left) or ()}
-            both &= {-_literal(x) for x in residue_of(c.right) or ()}
+            left, right = residue_of(c.left), residue_of(c.right)
+            if left is None or right is None:
+                both = {_literal(x) for x in left or right or ()}
+            else:
+                both = {_literal(x) for x in left}
+                both &= {-_literal(x) for x in right}
             both.discard(0)
             if both:
                 return min(map(abs, both))
@@ -171,15 +204,20 @@ def count_residue(
     """Models of ``residue`` (None for false) over lo..scope, by one search.
 
     ``residue`` must mention no variable below ``lo``; let v be its lowest.
-    If v > k, the first step that applies is taken: (1) a literal conjunct
-    forces its variable, a split whose other branch is false; (2) a prefix
-    whose variables all lie below the next conjunct's is a component, and
-    the value is the product of the two parts; (3) a single ``Not(X)`` has
-    ``2**(scope - v + 1)`` minus the value of X; (4) a leading ``Or`` whose
-    sides hold opposite literals of one variable (a gadget's selector) is
-    split on it. Otherwise the residue is split on v, False before True.
-    ``memo`` keeps the value of every residue finished over its own lowest
-    variable through ``scope``; a split on u > v halves its branches' sum.
+    If v > k, the first step that applies is taken: (1) the literal
+    conjuncts force their variables in one restriction, a split whose other
+    branch is false (opposite literals make the residue false); (2) a
+    prefix whose variables all lie below the next conjunct's is a
+    component, and the value is the product of the two parts; (3) a single
+    ``Not(X)`` has ``2**(scope - v + 1)`` minus the value of X; (4) a single
+    ``Or`` with a literal on its top variable u as one side and the other
+    side below u is split on u, which leaves that side as it is; (5) a
+    leading ``Or`` whose sides need opposite values of one variable (a
+    gadget's selector; a false side is falsified by any value) is split on
+    it. Otherwise the residue is split on v, False before True. ``memo``
+    keeps the value of every residue finished over its own lowest variable
+    through ``scope``; a split halves its branches' sum once for each
+    variable it sets above v.
     Variables 1..k are maximized instead of summed (a split on one keeps
     the larger branch; one the residue skips adds no factor two); with
     ``k = 0`` the value is the model count. Entries depend only on ``scope``
@@ -188,10 +226,12 @@ def count_residue(
     remaining cap, a product divides it by its finished factor, a
     complement counts exactly, and only exact values are stored.
     """
-    # frames are [kind, residue, v, lo, need, acc, u]. A split on u caps its
-    # branches' sum at need and holds the finished one's value in acc (0 for
-    # a forced literal's false branch). A product's second factor starts at
-    # index u; acc is the first factor's models below it.
+    # frames are [kind, residue, v, lo, need, acc, u, shift]. A split on u
+    # caps its branches' sum at need, holds the finished one's value in acc
+    # (0 for the false branch of a forced run starting at u) and halves the
+    # result shift times, once per variable it sets above v. A product's
+    # second factor starts at index u; acc is the first factor's models
+    # below it.
     frames: list[list] = []
     fresh: list[Node] | None = None  # conjuncts the last restriction made
     reach = scope  # no component starts at a conjunct above this variable
@@ -207,33 +247,41 @@ def count_residue(
             if value is None:
                 if cap is not None:
                     cap = ((cap - 1) >> (v - lo)) + 1
-                u, first, acc = v, False, None
+                run, acc = ((v, False),), None
                 if v <= k:
                     fresh, reach = None, scope
                 else:
                     scan = residue if fresh is None else fresh
-                    lits = [c for c in scan if _literal(c)]
+                    lits = set(map(_literal, scan))
+                    lits.discard(0)
                     if lits:
-                        u, first, acc = lits[0].min_var, type(lits[0]) is Var, 0
-                        fresh = [c for c in lits if c.min_var != u]
+                        if not lits.isdisjoint([-x for x in lits]):
+                            memo[residue] = 0  # opposite literals
+                            residue = None
+                            continue
+                        run = sorted([(abs(x), x > 0) for x in lits])
+                        acc, fresh = 0, []
                     else:
                         i = _boundary(residue, reach)
                         if i:
-                            frames.append([_PRODUCT, residue, v, lo, cap, None, i])
+                            frames.append([_PRODUCT, residue, v, lo, cap, None, i, 0])
                             residue, lo, cap, fresh, reach = residue[:i], v, None, [], 0
                             continue
                         if len(residue) == 1 and type(residue[0]) is Not:
-                            frames.append([_COMPLEMENT, residue, v, lo, None, None, v])
+                            frames.append(
+                                [_COMPLEMENT, residue, v, lo, None, None, v, 0]
+                            )
                             residue, lo, cap = residue_of(residue[0].child), v, None
                             fresh, reach = None, scope
                             continue
-                        u, fresh, reach = _decision(residue, v), [], 0
-                    reach = max(reach, _reach(residue, u))
-                shift = u != v
+                        run, fresh, reach = ((_decision(residue, v), False),), [], 0
+                    reach = max(reach, _reach(residue, run[-1][0]))
+                u = run[0][0]
+                shift = len(run) - (u == v)
                 need = None if cap is None else cap << shift
-                frames.append([_SPLIT, residue, v, lo, need, acc, u])
-                residue = restrict_residue(residue, u, first, fresh)
-                lo, cap = v + 1 - shift, need
+                frames.append([_SPLIT, residue, v, lo, need, acc, u, shift])
+                residue = restrict_residue(residue, run, fresh)
+                lo, cap = v + (u == v), need
                 continue
         # scale the value at v to lo..scope and hand it to the innermost
         # open frame, until one needs another child searched
@@ -243,9 +291,8 @@ def count_residue(
             if not frames:
                 return value
             frame = frames[-1]
-            kind, parent, v, lo, need, acc, u = frame
+            kind, parent, v, lo, need, acc, u, shift = frame
             if kind == _SPLIT:
-                shift = u != v
                 if need is not None and value >= need - (acc or 0):
                     # the split reaches its cap; caps imply k = 0, so the
                     # shift above makes this at least the split's own cap
@@ -255,8 +302,8 @@ def count_residue(
                 if acc is None:
                     frame[5] = value
                     fresh, reach = (None, scope) if v <= k else ([], _reach(parent, u))
-                    residue = restrict_residue(parent, u, True, fresh)
-                    lo = v + 1 - shift
+                    residue = restrict_residue(parent, ((u, True),), fresh)
+                    lo = v + (u == v)
                     cap = None if need is None else need - value
                     break
                 value = (value + acc if v > k else max(value, acc)) >> shift
@@ -279,10 +326,10 @@ def count_residue(
 def count_fast(f: Formula) -> int:
     """Model count by the search of :func:`count_residue`, uncapped.
 
-    Agrees with :func:`count_bruteforce` on every input. Its four steps
-    (forced literals, interval components, complements, selector splits)
-    apply in a fixed order, so traces are reproducible; the memo table
-    lives only for this invocation.
+    Agrees with :func:`count_bruteforce` on every input. Its steps (forced
+    runs of literals, interval components, complements, top-literal and
+    selector splits) apply in a fixed order, so traces are reproducible;
+    the memo table lives only for this invocation.
     """
     return count_residue(residue_of(f.node), 1, f.scope, {}, None)
 

@@ -214,9 +214,9 @@ def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
         return None
     values: list[bool] = []
     for v in range(1, k + 1):
-        low = None if residue is None else restrict_residue(residue, v, False)
+        low = None if residue is None else restrict_residue(residue, ((v, False),))
         keep_low = count_residue(low, v + 1, scope, memo, None, k) >= need
-        residue = low if keep_low else restrict_residue(residue, v, True)
+        residue = low if keep_low else restrict_residue(residue, ((v, True),))
         values.append(not keep_low)
     achieved = count_residue(residue, k + 1, scope, memo, None, k)
     return Witness(tuple(values), achieved)

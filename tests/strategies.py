@@ -2,7 +2,18 @@
 
 import hypothesis.strategies as st
 
-from dmaxsat import FALSE, TRUE, And, Formula, Not, Or, Var, pack_many, psi_gadget
+from dmaxsat import (
+    FALSE,
+    TRUE,
+    And,
+    Formula,
+    Not,
+    Or,
+    Var,
+    less_than_const,
+    pack_many,
+    psi_gadget,
+)
 from dmaxsat.generate import folded
 
 
@@ -64,3 +75,25 @@ def gadget_formulas(draw, max_scope: int = 11) -> Formula:
         delta = draw(st.integers(0, 1 << (packed.scope - 1)))
         packed = psi_gadget(packed, delta)
     return packed
+
+
+@st.composite
+def comparators(draw, max_width: int = 10) -> tuple[int, int]:
+    """A width n <= max_width and a constant c in 0..2**n for less_than_const."""
+    n = draw(st.integers(0, max_width))
+    return n, draw(st.integers(0, 1 << n))
+
+
+@st.composite
+def comparator_formulas(draw, max_width: int = 10) -> Formula:
+    """less_than_const(n, c), sometimes negated, sometimes shifted onto a
+    higher block, and sometimes conjoined with a drawn formula over its
+    scope."""
+    f = less_than_const(*draw(comparators(max_width)))
+    if draw(st.booleans()):
+        f = f.negate()
+    if draw(st.booleans()):
+        f = f.shift(draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        f = Formula(And(f.node, draw(nodes(f.scope))), f.scope)
+    return f

@@ -107,11 +107,15 @@ def test_deep_circuit_is_read_and_written(run, tmp_path):
 
 
 def test_deep_conjunct_is_counted(run, tmp_path):
-    # the psi gadget of a 1200-variable comparator and a 3000-deep negation
-    # nest are single conjuncts far deeper than the default recursion limit
+    # the psi gadget of a 1500-variable comparator is a single conjunct far
+    # deeper than the default recursion limit, yet its search restricts the
+    # chain only at its top; brute force evaluates the 3000-deep negation
+    # nest recursively, so that command runs again in the worker thread
     path = tmp_path / "psi.ckt"
-    path.write_text(print_circuit(psi_gadget(less_than_const(1200, 12345), 0)) + "\n")
+    path.write_text(print_circuit(psi_gadget(less_than_const(1500, 12345), 0)) + "\n")
     assert run("count", str(path), "--bound", "1") == (0, "yes\n", "")
+    models = 12345 * (2**1500 - 12345)
+    assert run("count", str(path)) == (0, f"{models}\n", "")
     path = tmp_path / "nest.ckt"
     path.write_text("(scope 1) " + "(not " * 3000 + "x1" + ")" * 3000 + "\n")
     assert run("count", str(path), "--engine", "brute") == (0, "1\n", "")

@@ -26,14 +26,23 @@ from dmaxsat import (
     count_fast,
     dmax_decide,
     dmax_pruned,
+    k_value,
+    less_than_const,
     max_count,
     parse_dimacs,
+    psi_gadget,
     threshold_check,
 )
 
 from dmaxsat.counting import count_residue, residue_of
 
-from strategies import cnf_formulas, formulas, gadget_formulas
+from strategies import (
+    cnf_formulas,
+    comparator_formulas,
+    comparators,
+    formulas,
+    gadget_formulas,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from corpus import random_3cnf  # noqa: E402
@@ -199,6 +208,26 @@ def test_gadget_chooser_engines_match_enumeration(f, data):
     assert dmax_pruned(bounded) == dmax_decide(bounded)
 
 
+@given(comparator_formulas(), st.data())
+def test_comparator_counts_and_thresholds_match_bruteforce(f, data):
+    count = count_bruteforce(f)
+    assert count_fast(f) == count
+    drawn = data.draw(st.integers(0, (1 << f.scope) + 1))
+    for bound in (1, count, count + 1, drawn):
+        assert threshold_check(f, bound) == (count >= bound)
+
+
+@given(comparators(), st.data())
+def test_psi_of_a_comparator_counts_its_parabola(comparator, data):
+    n, c = comparator
+    delta = data.draw(st.integers(0, (1 << n) >> 1))
+    f = psi_gadget(less_than_const(n, c), delta)
+    value = k_value(n, delta, c)
+    assert count_fast(f) == value
+    assert threshold_check(f, value)
+    assert not threshold_check(f, value + 1)
+
+
 def _searched(node, scope):
     # the memo that one uncapped search leaves, once its count is checked
     memo = {}
@@ -237,6 +266,32 @@ def test_selector_or_is_split_on_its_selector():
     assert residue_of(Or(X1, X3)) in memo
 
 
+def test_lone_or_is_split_on_its_top_literal():
+    # the split on x3 sets the literal side and leaves the lower side as it
+    # is, where a split on x1 would rebuild it
+    memo = _searched(Or(Not(X3), Or(X1, X2)), 3)
+    assert residue_of(Or(X1, X2)) in memo
+
+
+def test_false_side_leaves_the_selector_of_the_other():
+    # the right side is false, as the comparator of psi_gadget(f, 0) is, so
+    # the literal not x3 of the left side selects on its own
+    low = And(Or(X1, X2), Not(X3))
+    high = And(And(X2, FALSE), X3)
+    memo = _searched(Or(low, high), 3)
+    assert residue_of(Or(X1, X2)) in memo
+
+
+def test_forced_run_sets_its_literals_at_once():
+    # x2 and x3 are forced by one restriction: the residue after both is
+    # searched, the one after x2 alone never is
+    rest = Or(Not(X2), Or(Not(X3), Or(X1, X5)))
+    memo = _searched(and_all([Or(X1, X4), X2, X3, rest]), 5)
+    assert residue_of(And(Or(X1, X4), Or(X1, X5))) in memo
+    after_x2 = and_all([Or(X1, X4), X3, Or(Not(X3), Or(X1, X5))])
+    assert residue_of(after_x2) not in memo
+
+
 def test_caps_still_cut_the_search():
     cnf = random_3cnf(random.Random(1), 24, 3.0)
     residue = residue_of(parse_dimacs(cnf.text()).node)
@@ -262,5 +317,24 @@ def test_deep_input_is_counted_without_recursion():
         for f, count in ((chain, n + 1), (Formula(nest, 1), 1)):
             assert count_fast(f) == count
             assert not threshold_check(f, count + 1)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_comparator_is_counted_without_recursion():
+    # forced runs set a comparator's leading literals at once and each lone
+    # Or is split on its top literal, so no restriction or memo lookup walks
+    # the chain
+    dense = random.Random(9).getrandbits(3000)
+    comparators = [(less_than_const(3000, c), c) for c in (12345, dense)]
+    psi = psi_gadget(less_than_const(1500, 12345), 0)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for f, count in comparators:
+            assert count_fast(f) == count
+            assert threshold_check(f, count)
+            assert not threshold_check(f, count + 1)
+        assert threshold_check(psi, 1)
     finally:
         sys.setrecursionlimit(limit)
