@@ -22,7 +22,10 @@ conjuncts when a memo lookup compares them. A deep tree is safe when the
 search sets only variables near its top, as it does on a comparator chain,
 and may meet the recursion limit otherwise. :func:`threshold_check` runs
 the search capped at the bound, and the chooser solver with its chooser
-block 1..k maximized instead of summed.
+block 1..k maximized instead of summed. Inside that block the search still
+forces literals, and caps hold there too, so a bounded chooser search stops
+once a choice reaches its bound; components, complements and the other
+splits wait until the chooser block is set.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ Residue = tuple[Node, ...]
 _ORDER = attrgetter("min_var", "hash_")
 _MIN = attrgetter("min_var")
 _MAX = attrgetter("max_var")
-_SPLIT, _PRODUCT, _COMPLEMENT = range(3)  # the kinds of search frames
+_SPLIT, _CHOOSE, _PRODUCT, _COMPLEMENT = range(4)  # the kinds of search frames
 
 
 class ScopeLimitError(RuntimeError):
@@ -169,7 +172,9 @@ def _decision(residue: Residue, v: int) -> int:
     # of a lone Or whose one side is a literal on it and whose other side
     # lies below it; else the lowest variable that the two sides of a
     # leading Or need set to opposite values (a false side is falsified by
-    # either value of any variable); else v
+    # either value of any variable); else v. A side that is an Or over some
+    # variable is its own one-conjunct residue and holds no literal, so its
+    # Or selects nothing, as in every CNF clause of three literals.
     c = residue[0]
     if len(residue) == 1 and type(c) is Or:
         u = c.max_var
@@ -181,7 +186,10 @@ def _decision(residue: Residue, v: int) -> int:
         if c.min_var != v:
             break
         if type(c) is Or:
-            left, right = residue_of(c.left), residue_of(c.right)
+            left, right = c.left, c.right
+            if (type(left) is Or and left.min_var) or (type(right) is Or and right.min_var):
+                continue
+            left, right = residue_of(left), residue_of(right)
             if left is None or right is None:
                 both = {_literal(x) for x in left or right or ()}
             else:
@@ -204,34 +212,45 @@ def count_residue(
     """Models of ``residue`` (None for false) over lo..scope, by one search.
 
     ``residue`` must mention no variable below ``lo``; let v be its lowest.
-    If v > k, the first step that applies is taken: (1) the literal
-    conjuncts force their variables in one restriction, a split whose other
-    branch is false (opposite literals make the residue false); (2) a
-    prefix whose variables all lie below the next conjunct's is a
-    component, and the value is the product of the two parts; (3) a single
-    ``Not(X)`` has ``2**(scope - v + 1)`` minus the value of X; (4) a single
-    ``Or`` with a literal on its top variable u as one side and the other
-    side below u is split on u, which leaves that side as it is; (5) a
-    leading ``Or`` whose sides need opposite values of one variable (a
-    gadget's selector; a false side is falsified by any value) is split on
-    it. Otherwise the residue is split on v, False before True. ``memo``
-    keeps the value of every residue finished over its own lowest variable
-    through ``scope``; a split halves its branches' sum once for each
-    variable it sets above v.
-    Variables 1..k are maximized instead of summed (a split on one keeps
-    the larger branch; one the residue skips adds no factor two); with
-    ``k = 0`` the value is the model count. Entries depend only on ``scope``
-    and ``k``. A positive ``cap`` (k = 0 only) makes the result exact below
-    ``cap`` and at least ``cap`` otherwise: a split passes each branch the
-    remaining cap, a product divides it by its finished factor, a
-    complement counts exactly, and only exact values are stored.
+    Variables 1..k are maximized instead of summed, and with ``k = 0`` the
+    value is the model count. At every v, (1) the literal conjuncts force
+    their variables in one restriction, a split whose other branch is
+    false (opposite literals make the residue false); this holds under max
+    as under sum, since the branch it drops is 0. If v <= k and no literal
+    is forced, the residue is split on v and the larger branch is kept. If
+    v > k, the first further step that applies is taken: (2) a prefix whose
+    variables all lie below the next conjunct's is a component, and the
+    value is the product of the two parts; (3) a single ``Not(X)`` has
+    ``2**(scope - v + 1)`` minus the value of X; (4) a single ``Or`` with a
+    literal on its top variable u as one side and the other side below u
+    is split on u, which leaves that side as it is; (5) a leading ``Or``
+    whose sides need opposite values of one variable (a gadget's selector;
+    a false side is falsified by any value) is split on it. Otherwise the
+    residue is split on v, False before True, and the branches are summed.
+    These four steps stay above the chooser block: a complement does not
+    preserve a maximum, and a split on a summed variable there would sum
+    what must be maximized. ``memo`` keeps the value of every residue
+    finished over its own lowest variable through ``scope``; entries
+    depend only on ``scope`` and ``k``. A summed variable that a residue
+    skips doubles its value and a chooser variable does not, so a split
+    halves its result once for each summed variable it sets above v.
+    A positive ``cap`` makes the result exact below ``cap`` and at least
+    ``cap`` otherwise, for any k: a summing split passes each branch the
+    remaining cap, a chooser split passes each the whole cap and stops at
+    a branch that reaches it, a product divides it by its finished factor,
+    and a complement counts exactly. Only exact values are stored, with one
+    exception: a residue with v <= k whose search reached its cap stores
+    minus the value it reached. That lower bound answers a later search
+    that it reaches the cap of, so the solver's descent under the same cap
+    reads it instead of searching the residue again.
     """
     # frames are [kind, residue, v, lo, need, acc, u, shift]. A split on u
     # caps its branches' sum at need, holds the finished one's value in acc
     # (0 for the false branch of a forced run starting at u) and halves the
-    # result shift times, once per variable it sets above v. A product's
-    # second factor starts at index u; acc is the first factor's models
-    # below it.
+    # result shift times, once per summed variable it sets above v. A
+    # chooser split on v <= k passes each branch the whole need and keeps
+    # the larger value. A product's second factor starts at index u; acc
+    # is the first factor's models below it.
     frames: list[list] = []
     fresh: list[Node] | None = None  # conjuncts the last restriction made
     reach = scope  # no component starts at a conjunct above this variable
@@ -246,43 +265,59 @@ def count_residue(
             value = memo.get(residue)
             if value is None:
                 if cap is not None:
-                    cap = ((cap - 1) >> (v - lo)) + 1
-                run, acc = ((v, False),), None
-                if v <= k:
-                    fresh, reach = None, scope
-                else:
-                    scan = residue if fresh is None else fresh
-                    lits = set(map(_literal, scan))
-                    lits.discard(0)
-                    if lits:
-                        if not lits.isdisjoint([-x for x in lits]):
-                            memo[residue] = 0  # opposite literals
-                            residue = None
-                            continue
-                        run = sorted([(abs(x), x > 0) for x in lits])
-                        acc, fresh = 0, []
+                    skipped = v - lo if lo > k else max(v - k - 1, 0)
+                    cap = ((cap - 1) >> skipped) + 1
+                scan = residue if fresh is None else fresh
+                lits = set(map(_literal, scan))
+                lits.discard(0)
+                if lits:
+                    if not lits.isdisjoint([-x for x in lits]):
+                        memo[residue] = 0  # opposite literals
+                        residue = None
+                        continue
+                    run = sorted([(abs(x), x > 0) for x in lits])
+                    u, acc, fresh = run[0][0], 0, []
+                    if v > k:
+                        shift = len(run) - (u == v)
+                        reach = max(reach, _reach(residue, run[-1][0]))
                     else:
-                        i = _boundary(residue, reach)
-                        if i:
-                            frames.append([_PRODUCT, residue, v, lo, cap, None, i, 0])
-                            residue, lo, cap, fresh, reach = residue[:i], v, None, [], 0
-                            continue
-                        if len(residue) == 1 and type(residue[0]) is Not:
-                            frames.append(
-                                [_COMPLEMENT, residue, v, lo, None, None, v, 0]
-                            )
-                            residue, lo, cap = residue_of(residue[0].child), v, None
-                            fresh, reach = None, scope
-                            continue
-                        run, fresh, reach = ((_decision(residue, v), False),), [], 0
-                    reach = max(reach, _reach(residue, run[-1][0]))
-                u = run[0][0]
-                shift = len(run) - (u == v)
+                        # a set chooser variable adds no factor two
+                        shift = len(run) - bisect_right(run, (k, True))
+                        reach = scope
+                elif v <= k:
+                    frames.append([_CHOOSE, residue, v, lo, cap, None, v, 0])
+                    fresh, reach = [], scope
+                    residue = restrict_residue(residue, ((v, False),), fresh)
+                    lo = v + 1
+                    continue
+                else:
+                    i = _boundary(residue, reach)
+                    if i:
+                        frames.append([_PRODUCT, residue, v, lo, cap, None, i, 0])
+                        residue, lo, cap, fresh, reach = residue[:i], v, None, [], 0
+                        continue
+                    if len(residue) == 1 and type(residue[0]) is Not:
+                        frames.append([_COMPLEMENT, residue, v, lo, None, None, v, 0])
+                        residue, lo, cap = residue_of(residue[0].child), v, None
+                        fresh, reach = None, scope
+                        continue
+                    u = _decision(residue, v)
+                    run, acc, shift, fresh = ((u, False),), None, int(u != v), []
+                    reach = _reach(residue, u)
                 need = None if cap is None else cap << shift
                 frames.append([_SPLIT, residue, v, lo, need, acc, u, shift])
                 residue = restrict_residue(residue, run, fresh)
                 lo, cap = v + (u == v), need
                 continue
+            elif value < 0:
+                # -value is a lower bound that a chooser split stored when
+                # it reached its cap; it answers a search it still caps, and
+                # any other search runs again and replaces it
+                skipped = v - lo if lo > k else max(v - k - 1, 0)
+                if cap is None or -value <= (cap - 1) >> skipped:
+                    del memo[residue]
+                    continue
+                value = -value
         # scale the value at v to lo..scope and hand it to the innermost
         # open frame, until one needs another child searched
         while True:
@@ -294,19 +329,32 @@ def count_residue(
             kind, parent, v, lo, need, acc, u, shift = frame
             if kind == _SPLIT:
                 if need is not None and value >= need - (acc or 0):
-                    # the split reaches its cap; caps imply k = 0, so the
-                    # shift above makes this at least the split's own cap
+                    # the split reaches its cap
                     frames.pop()
                     value = need >> shift
+                    if v <= k:
+                        memo[parent] = -value
                     continue
                 if acc is None:
                     frame[5] = value
-                    fresh, reach = (None, scope) if v <= k else ([], _reach(parent, u))
+                    fresh, reach = [], _reach(parent, u)
                     residue = restrict_residue(parent, ((u, True),), fresh)
                     lo = v + (u == v)
                     cap = None if need is None else need - value
                     break
-                value = (value + acc if v > k else max(value, acc)) >> shift
+                value = (value + acc) >> shift
+            elif kind == _CHOOSE:
+                if need is not None and value >= need:
+                    frames.pop()  # a branch reaches the cap
+                    memo[parent] = -value
+                    continue
+                if acc is None:
+                    frame[5] = value
+                    fresh, reach = [], scope
+                    residue = restrict_residue(parent, ((v, True),), fresh)
+                    lo, cap = v + 1, need
+                    break
+                value = max(value, acc)
             elif kind == _PRODUCT and acc is None and value:
                 b = parent[u].min_var
                 acc = frame[5] = value >> (scope - b + 1)

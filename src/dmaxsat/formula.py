@@ -45,7 +45,10 @@ class Node:
 
     Nodes are immutable after construction and cache their hash, operator
     count and occurring-variable range, so equality tests, size queries and
-    scope validation stay cheap on shared subtrees.
+    scope validation stay cheap on shared subtrees. A hash is built from
+    integers only (a tag per node type, the index or the children's
+    hashes), so it is the same in every process whatever its string-hash
+    seed, and so is every order that sorts by it.
     """
 
     __slots__ = ("hash_", "ops", "min_var", "max_var")
@@ -79,7 +82,7 @@ class _Const(Node):
         self.ops = 0
         self.min_var = 0
         self.max_var = 0
-        self.hash_ = hash(("const", value))
+        self.hash_ = hash((0, value))
 
     def __repr__(self) -> str:
         return "TRUE" if self.value else "FALSE"
@@ -112,7 +115,7 @@ class Var(Node):
         self.ops = 0
         self.min_var = index
         self.max_var = index
-        self.hash_ = hash(("var", index))
+        self.hash_ = hash((1, index))
 
     def __repr__(self) -> str:
         return f"x{self.index}"
@@ -141,7 +144,7 @@ class Not(Node):
         self.ops = child.ops + 1
         self.min_var = child.min_var
         self.max_var = child.max_var
-        self.hash_ = hash(("not", child.hash_))
+        self.hash_ = hash((2, child.hash_))
 
     def __repr__(self) -> str:
         return f"Not({self.child!r})"
@@ -184,7 +187,7 @@ class And(Node):
         self.ops = left.ops + right.ops + 1
         self.min_var = _join_min(left.min_var, right.min_var)
         self.max_var = left.max_var if left.max_var > right.max_var else right.max_var
-        self.hash_ = hash(("and", left.hash_, right.hash_))
+        self.hash_ = hash((3, left.hash_, right.hash_))
 
     def __repr__(self) -> str:
         return f"And({self.left!r}, {self.right!r})"
@@ -233,7 +236,7 @@ class Or(Node):
         self.ops = left.ops + right.ops + 1
         self.min_var = _join_min(left.min_var, right.min_var)
         self.max_var = left.max_var if left.max_var > right.max_var else right.max_var
-        self.hash_ = hash(("or", left.hash_, right.hash_))
+        self.hash_ = hash((4, left.hash_, right.hash_))
 
     def __repr__(self) -> str:
         return f"Or({self.left!r}, {self.right!r})"

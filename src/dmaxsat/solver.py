@@ -11,9 +11,10 @@ instance's variables once (:func:`dmaxsat.formula.renamed`) so that the
 chooser block comes first, and holds it as a flat residue (see
 :mod:`dmaxsat.counting`). One max/sum search
 (:func:`dmaxsat.counting.count_residue` with k = |x|) maximizes over the
-chooser block and sums over the counted block, and memoizes the best
-y-count below every chooser prefix. A greedy descent over the chooser
-block then keeps False whenever that best still reaches the requirement
+chooser block and sums over the counted block. It forces literals inside
+the chooser block too, and when deciding it is capped at the bound, so it
+stops once a choice reaches it. A greedy descent over the chooser block
+then keeps False whenever the best below it still reaches the requirement
 (the instance's bound when deciding, the maximum when maximizing) and takes
 True otherwise. :func:`dmax_decide` is the unpruned reference: it
 enumerates the chooser block and counts each assignment on its own with
@@ -181,9 +182,10 @@ def dmax_pruned(
     """Same contract as :func:`dmax_decide`, from one max/sum search.
 
     Runs :func:`_search` with the instance's fixed bound as the
-    requirement: None when the maximum is below it, and otherwise the
-    lexicographically least chooser reaching it, which is exactly the
-    witness dmax_decide returns.
+    requirement and as the cap of every search: None when the maximum is
+    below it, and otherwise the lexicographically least chooser reaching
+    it, which is exactly the witness dmax_decide returns. The search stops
+    at a choice that reaches the bound instead of computing the maximum.
     """
     bound = _required_bound(instance)
     _check_limits(instance, limit)
@@ -196,26 +198,32 @@ def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
     The instance is relabelled once so that x_vars[i] becomes variable i+1
     and the y block follows, and held as a flat residue. One
     :func:`dmaxsat.counting.count_residue` search with k = |x| maximizes
-    over the chooser block and sums over the y block, and leaves in its
-    memo the best y-count below every chooser prefix it met. The descent
-    then fixes x1..xk in turn: it keeps False whenever the False child's
-    best still reaches the requirement (``bound``, or the maximum when
-    ``bound`` is None) and takes True otherwise. Each child is one the
-    search already met, so its best is a memo lookup, and the leaf reached
-    is the lexicographically least chooser meeting the requirement.
+    over the chooser block and sums over the y block, capped at ``bound``
+    (uncapped when ``bound`` is None or 0), and leaves in its memo every
+    value it found exactly. The descent then fixes x1..xk in turn: it keeps
+    False whenever the False child's best still reaches the requirement
+    (``bound``, or the maximum when ``bound`` is None) and takes True
+    otherwise. A child's best is searched again under the same cap. That
+    is a memo lookup when the search met the child and either finished it
+    or reached the cap there (a lower bound the memo keeps), and a further
+    search when the search forced a literal past the child or stopped
+    before it. The leaf reached is the lexicographically least
+    chooser meeting the requirement, and its count is searched uncapped,
+    so ``achieved`` is exact.
     """
     k = len(instance.x_vars)
     scope = instance.formula.scope
     memo: dict[Residue, int] = {}
     residue = residue_of(_relabel(instance))
-    best = count_residue(residue, 1, scope, memo, None, k)
+    cap = bound or None  # every chooser reaches a bound of 0
+    best = count_residue(residue, 1, scope, memo, cap, k)
     need = best if bound is None else bound
     if best < need:
         return None
     values: list[bool] = []
     for v in range(1, k + 1):
         low = None if residue is None else restrict_residue(residue, ((v, False),))
-        keep_low = count_residue(low, v + 1, scope, memo, None, k) >= need
+        keep_low = count_residue(low, v + 1, scope, memo, cap, k) >= need
         residue = low if keep_low else restrict_residue(residue, ((v, True),))
         values.append(not keep_low)
     achieved = count_residue(residue, k + 1, scope, memo, None, k)

@@ -34,7 +34,8 @@ from dmaxsat import (
     threshold_check,
 )
 
-from dmaxsat.counting import count_residue, residue_of
+import dmaxsat.counting
+from dmaxsat.counting import _decision, count_residue, residue_of
 
 from strategies import (
     cnf_formulas,
@@ -300,6 +301,62 @@ def test_caps_still_cut_the_search():
     assert count > 0
     assert count_residue(residue, 1, 24, capped, 1) >= 1
     assert len(capped) < len(exact)
+
+
+def test_chooser_literal_is_forced_without_a_split():
+    # with x1 and x2 maximized, the literal x2 is forced at x1 and leaves
+    # the unit x3 next to Or(x1, x3); a split on x1 first would search the
+    # residue after x1 = False instead
+    node = and_all([Or(X1, X3), X2, Or(Not(X2), X3)])
+    memo = {}
+    assert count_residue(residue_of(node), 1, 3, memo, None, 2) == 1
+    assert residue_of(And(Or(X1, X3), X3)) in memo
+    assert residue_of(and_all([X2, Or(Not(X2), X3), X3])) not in memo
+
+
+def test_capped_chooser_residue_keeps_a_lower_bound():
+    # x1 and x2 maximized: under cap 1 the branch x1 = False reaches the
+    # cap, and its residue keeps the lower bound 1, stored as -1; a search
+    # under the same cap reads it, and an uncapped one stores the exact value
+    memo = {}
+    assert count_residue(residue_of(And(Or(X1, X3), Or(X2, X3))), 1, 3, memo, 1, 2) == 1
+    low = residue_of(And(Or(X2, X3), X3))
+    assert memo[low] == -1
+    entries = dict(memo)
+    assert count_residue(low, 2, 3, memo, 1, 2) == 1
+    assert memo == entries
+    assert count_residue(low, 2, 3, memo, None, 2) == 1
+    assert memo[low] == 1
+
+
+def test_caps_cut_the_chooser_search():
+    # x1..x8 maximized: a search capped at the best stops at a choice that
+    # reaches it, and one capped above the best stays exact
+    cnf = random_3cnf(random.Random(0), 20, 2.5)
+    residue = residue_of(parse_dimacs(cnf.text()).node)
+    capped, exact = {}, {}
+    best = count_residue(residue, 1, 20, exact, None, 8)
+    assert best > 0
+    assert count_residue(residue, 1, 20, capped, best, 8) >= best
+    assert len(capped) < len(exact)
+    assert count_residue(residue, 1, 20, {}, best + 1, 8) == best
+
+
+def test_cnf_clauses_build_no_selector_residues(monkeypatch):
+    # a clause of three literals has an Or as one side, which selects
+    # nothing, so the decision skips it without building residues
+    cnf = random_3cnf(random.Random(1), 12, 3.0)
+    residue = residue_of(parse_dimacs(cnf.text()).node)
+    calls = []
+
+    def counted(node):
+        calls.append(node)
+        return residue_of(node)
+
+    monkeypatch.setattr(dmaxsat.counting, "residue_of", counted)
+    v = residue[0].min_var
+    assert _decision(residue, v) == v
+    assert calls == []
 
 
 def test_deep_input_is_counted_without_recursion():

@@ -1,5 +1,10 @@
 """Formula trees: evaluation, size, shift, scopes, structural equality."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -17,6 +22,7 @@ from dmaxsat import (
     less_than_const,
     or_all,
 )
+import dmaxsat
 from dmaxsat.formula import _Const
 
 from strategies import formulas
@@ -166,3 +172,34 @@ def test_negate_flips_every_assignment(f):
     for mask in range(min(1 << f.scope, 32)):
         assignment = [bool((mask >> i) & 1) for i in range(f.scope)]
         assert negated.evaluate(assignment) == (not f.evaluate(assignment))
+
+
+_HASH_SCRIPT = """
+from dmaxsat import FALSE, TRUE, And, Not, Or, Var, and_all
+from dmaxsat.counting import residue_of
+x1, x2, x3 = Var(1), Var(2), Var(3)
+node = and_all(
+    [Or(x1, x3), Or(Not(x1), x2), Not(And(x1, x2)), Or(x1, And(x2, TRUE)), x3]
+)
+print(Var(3).hash_, TRUE.hash_, FALSE.hash_)
+print([c.hash_ for c in residue_of(node)])
+print(residue_of(node))
+"""
+
+
+def test_hashes_do_not_depend_on_the_string_hash_seed():
+    # residues are sorted by (min_var, hash_), so a hash that changed with
+    # the per-process string-hash seed would change the search order
+    src = str(Path(dmaxsat.__file__).resolve().parents[1])
+    outputs = set()
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

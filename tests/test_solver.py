@@ -25,11 +25,12 @@ from dmaxsat import (
     parse_blocks,
     parse_dimacs,
 )
+from dmaxsat.counting import count_residue, residue_of
 from dmaxsat.generate import random_split_instance
 from dmaxsat.selftest import solver_law
 from dmaxsat.solver import _relabel
 
-from strategies import cnf_formulas
+from strategies import cnf_formulas, formulas
 
 
 OR_XY = Formula(Or(Var(1), Var(2)), 2)
@@ -278,3 +279,30 @@ def test_monotonicity_in_the_bound():
 def test_solver_suite_passes():
     result = solver_law(random.Random(11), 80)
     assert result.ok, result.failure
+
+
+def _max_sum(node, scope, k):
+    # the best count over k+1..scope of any assignment to 1..k, enumerated
+    return max(
+        sum(node.eval_mask(x | y << k) for y in range(1 << (scope - k)))
+        for x in range(1 << k)
+    )
+
+
+@settings(max_examples=60)
+@given(st.one_of(formulas(max_scope=7), cnf_formulas(max_scope=7)), st.data())
+def test_max_sum_search_matches_enumeration_under_caps(f, data):
+    # every chooser block size k of one drawn variable order; a capped
+    # result is exact below its cap and at least the cap otherwise
+    order = data.draw(st.permutations(range(1, f.scope + 1)))
+    for k in range(f.scope + 1):
+        node = _relabel(SplitInstance(f, tuple(order[:k]), tuple(order[k:])))
+        best = _max_sum(node, f.scope, k)
+        assert count_residue(residue_of(node), 1, f.scope, {}, None, k) == best
+        drawn = data.draw(st.integers(1, (1 << f.scope) + 1))
+        for cap in {1, best, best + 1, drawn} - {0}:
+            value = count_residue(residue_of(node), 1, f.scope, {}, cap, k)
+            if best < cap:
+                assert value == best
+            else:
+                assert value >= cap
