@@ -14,9 +14,10 @@ Two engines with identical semantics:
 A residue is the circuit's top-level conjunction held flat: a tuple of its
 conjuncts, none of them an ``And`` or free of variables, sorted by
 ``(min_var, hash_)``. :func:`restrict_residue` sets a sorted run of
-variables and shares every conjunct that cannot mention them. The search
-itself runs on an explicit stack of split, product and complement frames,
-but the tree walks it calls still recurse: :meth:`Node.restrict` down to
+variables and shares every conjunct that cannot mention them. Each residue
+is searched by one generator that yields its children, and an outer loop
+keeps the open generators on an explicit stack, so the search itself does
+not recurse. The tree walks it calls still do: :meth:`Node.restrict` down to
 the variable it sets, and ``Node.__eq__`` through equal but distinct
 conjuncts when a memo lookup compares them. A deep tree is safe when the
 search sets only variables near its top, as it does on a comparator chain,
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from operator import attrgetter
-from typing import Sequence
+from typing import Generator, Sequence
 
 from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var
 
@@ -43,7 +44,6 @@ Residue = tuple[Node, ...]
 _ORDER = attrgetter("min_var", "hash_")
 _MIN = attrgetter("min_var")
 _MAX = attrgetter("max_var")
-_SPLIT, _CHOOSE, _PRODUCT, _COMPLEMENT = range(4)  # the kinds of search frames
 
 
 class ScopeLimitError(RuntimeError):
@@ -211,50 +211,111 @@ def count_residue(
 ) -> int:
     """Models of ``residue`` (None for false) over lo..scope, by one search.
 
-    ``residue`` must mention no variable below ``lo``; let v be its lowest.
-    Variables 1..k are maximized instead of summed, and with ``k = 0`` the
-    value is the model count. At every v, (1) the literal conjuncts force
-    their variables in one restriction, a split whose other branch is
-    false (opposite literals make the residue false); this holds under max
-    as under sum, since the branch it drops is 0. If v <= k and no literal
-    is forced, the residue is split on v and the larger branch is kept. If
-    v > k, the first further step that applies is taken: (2) a prefix whose
-    variables all lie below the next conjunct's is a component, and the
-    value is the product of the two parts; (3) a single ``Not(X)`` has
-    ``2**(scope - v + 1)`` minus the value of X; (4) a single ``Or`` with a
-    literal on its top variable u as one side and the other side below u
-    is split on u, which leaves that side as it is; (5) a leading ``Or``
-    whose sides need opposite values of one variable (a gadget's selector;
-    a false side is falsified by any value) is split on it. Otherwise the
-    residue is split on v, False before True, and the branches are summed.
-    These four steps stay above the chooser block: a complement does not
-    preserve a maximum, and a split on a summed variable there would sum
-    what must be maximized. ``memo`` keeps the value of every residue
-    finished over its own lowest variable through ``scope``; entries
-    depend only on ``scope`` and ``k``. A summed variable that a residue
-    skips doubles its value and a chooser variable does not, so a split
-    halves its result once for each summed variable it sets above v.
-    A positive ``cap`` makes the result exact below ``cap`` and at least
-    ``cap`` otherwise, for any k: a summing split passes each branch the
-    remaining cap, a chooser split passes each the whole cap and stops at
-    a branch that reaches it, a product divides it by its finished factor,
-    and a complement counts exactly. Only exact values are stored, with one
-    exception: a residue with v <= k whose search reached its cap stores
-    minus the value it reached. That lower bound answers a later search
-    that it reaches the cap of, so the solver's descent under the same cap
-    reads it instead of searching the residue again.
+    ``residue`` must mention no variable below ``lo``. Variables 1..k are
+    maximized instead of summed, and with ``k = 0`` the value is the model
+    count. A positive ``cap`` makes the result exact below ``cap`` and at
+    least ``cap`` otherwise, for any k. ``memo`` keeps the value of every
+    residue finished over its own lowest variable through ``scope``, so its
+    entries depend only on ``scope`` and ``k``. Only exact values are
+    stored, with one exception: a residue whose lowest variable lies in
+    1..k and whose search reached its cap stores minus the value it
+    reached. That lower bound answers a later search that it reaches the
+    cap of, so the solver's descent under the same cap reads it instead of
+    searching the residue again; any other search replaces it.
     """
-    # frames are [kind, residue, v, lo, need, acc, u, shift]. A split on u
-    # caps its branches' sum at need, holds the finished one's value in acc
-    # (0 for the false branch of a forced run starting at u) and halves the
-    # result shift times, once per summed variable it sets above v. A
-    # chooser split on v <= k passes each branch the whole need and keeps
-    # the larger value. A product's second factor starts at index u; acc
-    # is the first factor's models below it.
-    frames: list[list] = []
-    fresh: list[Node] | None = None  # conjuncts the last restriction made
-    reach = scope  # no component starts at a conjunct above this variable
+
+    def search(
+        residue: Residue, v: int, cap: int | None, fresh: list[Node] | None, reach: int
+    ) -> Generator[tuple, int, int]:
+        # the value over v..scope of a residue with lowest variable v: each
+        # child is yielded as (residue, lo, cap, fresh, reach) and sent back
+        # its value over lo..scope. fresh holds what the last restriction
+        # made (None: any conjunct may be new), and no component starts at
+        # a conjunct above reach
+        lits = set(map(_literal, residue if fresh is None else fresh))
+        lits.discard(0)
+        if lits:
+            # forced run: the literals set their variables in one
+            # restriction, a split whose other branch is 0 under max as
+            # under sum; it halves its result once per summed variable it
+            # sets above v, and a set chooser variable adds no factor two
+            if not lits.isdisjoint([-x for x in lits]):
+                memo[residue] = 0  # opposite literals
+                return 0
+            run = sorted([(abs(x), x > 0) for x in lits])
+            lo = v + (run[0][0] == v)
+            if v > k:
+                shift = len(run) - (lo > v)
+                reach = max(reach, _reach(residue, run[-1][0]))
+            else:
+                shift = len(run) - bisect_right(run, (k, True))
+                reach = scope
+            need = None if cap is None else cap << shift
+            fresh = []
+            value = yield restrict_residue(residue, run, fresh), lo, need, fresh, reach
+            if need is not None and value >= need:
+                if v <= k:
+                    memo[residue] = -cap
+                return cap
+            value >>= shift
+        elif v <= k:
+            # chooser split on v, False before True: each branch gets the
+            # whole cap, one that reaches it ends the split, and the larger
+            # value is kept. The steps below wait until the chooser block is
+            # set: a complement does not preserve a maximum, and a split on
+            # a summed variable there would sum what must be maximized
+            value = 0
+            for bit in (False, True):
+                fresh = []
+                child = restrict_residue(residue, ((v, bit),), fresh)
+                value = max(value, (yield child, v + 1, cap, fresh, scope))
+                if cap is not None and value >= cap:
+                    memo[residue] = -value
+                    return value
+        elif i := _boundary(residue, reach):
+            # component: a prefix whose variables all lie below the next
+            # conjunct's is counted apart, and the value is the product of
+            # the two parts; the second is capped at the cap over the first
+            value = yield residue[:i], v, None, [], 0
+            if value:
+                b = residue[i].min_var
+                first = value >> (scope - b + 1)
+                rest = None if cap is None else -(-cap // first)
+                value = first * (yield residue[i:], b, rest, [], scope)
+            if cap is not None and value >= cap:
+                return value  # a product that reaches its cap is not exact
+        elif len(residue) == 1 and type(residue[0]) is Not:
+            # complement: a single Not(X) has 2**(scope - v + 1) minus the
+            # value of X, searched uncapped: a bound on X bounds no complement
+            inner = yield residue_of(residue[0].child), v, None, None, scope
+            value = (1 << (scope - v + 1)) - inner
+        else:
+            # sum split, False before True, on the top variable of a lone Or
+            # with a literal on it, else on a gadget's selector, else on v
+            # (see _decision): the False branch gets the cap, the True branch
+            # what is left of it, and one reaching its share ends the split
+            u = _decision(residue, v)
+            shift, lo, reach = int(u != v), v + (u == v), _reach(residue, u)
+            need = None if cap is None else cap << shift
+            fresh = []
+            low = yield restrict_residue(residue, ((u, False),), fresh), lo, need, fresh, reach
+            if need is not None and low >= need:
+                return cap
+            need = None if need is None else need - low
+            fresh = []
+            high = yield restrict_residue(residue, ((u, True),), fresh), lo, need, fresh, reach
+            if need is not None and high >= need:
+                return cap
+            value = (low + high) >> shift
+        memo[residue] = value
+        return value
+
+    # the open searches, innermost last, each with the number of variables
+    # its value doubles by on the way to its parent's lo..scope
+    searches: list[tuple[Generator[tuple, int, int], int]] = []
+    request = residue, lo, cap, None, scope
     while True:
+        residue, lo, cap, fresh, reach = request
         if residue is None:
             v, value = lo, 0
         elif not residue:
@@ -263,112 +324,26 @@ def count_residue(
         else:
             v = residue[0].min_var
             value = memo.get(residue)
-            if value is None:
-                if cap is not None:
-                    skipped = v - lo if lo > k else max(v - k - 1, 0)
-                    cap = ((cap - 1) >> skipped) + 1
-                scan = residue if fresh is None else fresh
-                lits = set(map(_literal, scan))
-                lits.discard(0)
-                if lits:
-                    if not lits.isdisjoint([-x for x in lits]):
-                        memo[residue] = 0  # opposite literals
-                        residue = None
-                        continue
-                    run = sorted([(abs(x), x > 0) for x in lits])
-                    u, acc, fresh = run[0][0], 0, []
-                    if v > k:
-                        shift = len(run) - (u == v)
-                        reach = max(reach, _reach(residue, run[-1][0]))
-                    else:
-                        # a set chooser variable adds no factor two
-                        shift = len(run) - bisect_right(run, (k, True))
-                        reach = scope
-                elif v <= k:
-                    frames.append([_CHOOSE, residue, v, lo, cap, None, v, 0])
-                    fresh, reach = [], scope
-                    residue = restrict_residue(residue, ((v, False),), fresh)
-                    lo = v + 1
-                    continue
-                else:
-                    i = _boundary(residue, reach)
-                    if i:
-                        frames.append([_PRODUCT, residue, v, lo, cap, None, i, 0])
-                        residue, lo, cap, fresh, reach = residue[:i], v, None, [], 0
-                        continue
-                    if len(residue) == 1 and type(residue[0]) is Not:
-                        frames.append([_COMPLEMENT, residue, v, lo, None, None, v, 0])
-                        residue, lo, cap = residue_of(residue[0].child), v, None
-                        fresh, reach = None, scope
-                        continue
-                    u = _decision(residue, v)
-                    run, acc, shift, fresh = ((u, False),), None, int(u != v), []
-                    reach = _reach(residue, u)
-                need = None if cap is None else cap << shift
-                frames.append([_SPLIT, residue, v, lo, need, acc, u, shift])
-                residue = restrict_residue(residue, run, fresh)
-                lo, cap = v + (u == v), need
-                continue
-            elif value < 0:
-                # -value is a lower bound that a chooser split stored when
-                # it reached its cap; it answers a search it still caps, and
-                # any other search runs again and replaces it
-                skipped = v - lo if lo > k else max(v - k - 1, 0)
-                if cap is None or -value <= (cap - 1) >> skipped:
-                    del memo[residue]
-                    continue
-                value = -value
-        # scale the value at v to lo..scope and hand it to the innermost
-        # open frame, until one needs another child searched
-        while True:
-            # only summed variables skipped between lo and v double the value
-            value <<= v - lo if lo > k else max(v - k - 1, 0)
-            if not frames:
-                return value
-            frame = frames[-1]
-            kind, parent, v, lo, need, acc, u, shift = frame
-            if kind == _SPLIT:
-                if need is not None and value >= need - (acc or 0):
-                    # the split reaches its cap
-                    frames.pop()
-                    value = need >> shift
-                    if v <= k:
-                        memo[parent] = -value
-                    continue
-                if acc is None:
-                    frame[5] = value
-                    fresh, reach = [], _reach(parent, u)
-                    residue = restrict_residue(parent, ((u, True),), fresh)
-                    lo = v + (u == v)
-                    cap = None if need is None else need - value
-                    break
-                value = (value + acc) >> shift
-            elif kind == _CHOOSE:
-                if need is not None and value >= need:
-                    frames.pop()  # a branch reaches the cap
-                    memo[parent] = -value
-                    continue
-                if acc is None:
-                    frame[5] = value
-                    fresh, reach = [], scope
-                    residue = restrict_residue(parent, ((v, True),), fresh)
-                    lo, cap = v + 1, need
-                    break
-                value = max(value, acc)
-            elif kind == _PRODUCT and acc is None and value:
-                b = parent[u].min_var
-                acc = frame[5] = value >> (scope - b + 1)
-                residue, lo, fresh, reach = parent[u:], b, [], scope
-                cap = None if need is None else -(-need // acc)
+        # only summed variables skipped between lo and v double the value
+        skip = v - lo if lo > k else max(v - k - 1, 0)
+        if value is None or value < 0 and (cap is None or -value <= (cap - 1) >> skip):
+            # a miss, or a lower bound that does not reach this cap
+            if cap is not None:
+                cap = ((cap - 1) >> skip) + 1
+            searches.append((search(residue, v, cap, fresh, reach), skip))
+            value = None
+        else:
+            value = abs(value) << skip
+        while searches:
+            gen, skip = searches[-1]
+            try:
+                request = gen.send(value)
                 break
-            elif kind == _PRODUCT:
-                value *= acc or 0  # a first factor of 0 needs no second
-            else:
-                value = (1 << (scope - v + 1)) - value
-            frames.pop()
-            # a product reaching its cap is not exact
-            if need is None or value < need:
-                memo[parent] = value
+            except StopIteration as done:
+                searches.pop()
+                value = done.value << skip
+        else:
+            return value
 
 
 def count_fast(f: Formula) -> int:

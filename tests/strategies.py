@@ -97,3 +97,33 @@ def comparator_formulas(draw, max_width: int = 10) -> Formula:
     if draw(st.booleans()):
         f = Formula(And(f.node, draw(nodes(f.scope))), f.scope)
     return f
+
+
+@st.composite
+def deep_formulas(draw, max_scope: int = 10, max_depth: int = 150) -> Formula:
+    """Trees up to about max_depth deep over a scope of at most max_scope: a
+    chain of literals over a small drawn base, a negation nest over the
+    base, or a negation nest over a chain. A chain's links alternate And and
+    Or, as less_than_const's do, or are drawn. Its variables repeat along
+    the chain, and they ascend from the base up (the lowest innermost),
+    descend, or come in drawn order."""
+    scope = draw(st.integers(1, max_scope))
+    node = draw(nodes(scope, max_leaves=4))
+    shape = draw(st.sampled_from(["chain", "nest", "nested chain"]))
+    if shape != "nest":
+        length = draw(st.integers(1, max_depth))
+        variables = draw(st.lists(st.integers(1, scope), min_size=length, max_size=length))
+        order = draw(st.sampled_from(["ascending", "descending", "drawn"]))
+        if order != "drawn":
+            variables.sort(reverse=order == "descending")
+        negated = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+        if draw(st.booleans()):
+            kinds = [(And, Or)[i % 2] for i in range(length)]
+        else:
+            kinds = draw(st.lists(st.sampled_from([And, Or]), min_size=length, max_size=length))
+        for v, neg, kind in zip(variables, negated, kinds):
+            node = kind(Not(Var(v)) if neg else Var(v), node)
+    if shape != "chain":
+        for _ in range(draw(st.integers(1, max_depth))):
+            node = Not(node)
+    return Formula(node, scope)

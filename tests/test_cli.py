@@ -10,12 +10,19 @@ import threading
 import pytest
 
 from dmaxsat import (
+    And,
+    Formula,
+    Or,
+    Var,
     count_bruteforce,
+    count_fast,
     k_value,
     less_than_const,
+    or_all,
     parse_circuit,
     print_circuit,
     psi_gadget,
+    threshold_check,
     unpack_digits,
 )
 from dmaxsat.cli import main
@@ -120,6 +127,35 @@ def test_deep_conjunct_is_counted(run, tmp_path):
     path.write_text("(scope 1) " + "(not " * 3000 + "x1" + ")" * 3000 + "\n")
     assert run("count", str(path), "--engine", "brute") == (0, "1\n", "")
     assert run("count", str(path)) == (0, "1\n", "")
+
+
+def test_deep_shapes_that_still_need_the_retry(run, tmp_path):
+    # the disjunction of pairs x(2i-1) and x(2i), i = m..1, holds its lowest
+    # pair innermost: Node.restrict walks the whole chain to set x1, so the
+    # fast engine meets a recursion limit of 1000 in-process, and only the
+    # CLI's retry in its worker thread counts it. A descending clause and an
+    # alternating chain with x1 innermost are split at their top literals
+    # and no longer need the retry
+    m = 600
+    pairs = Formula(or_all([And(Var(2 * i - 1), Var(2 * i)) for i in range(m, 0, -1)]), 2 * m)
+    clause = Formula(or_all([Var(i) for i in range(1200, 0, -1)]), 1200)
+    chain, models = Var(1), 1
+    for i in range(2, 1201):
+        chain = Or(Var(i), chain) if i % 2 else And(Var(i), chain)
+        models += (1 << (i - 1)) if i % 2 else 0
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(RecursionError):
+            count_fast(pairs)
+        assert count_fast(clause) == 2**1200 - 1
+        assert not threshold_check(clause, 2**1200)
+        assert count_fast(Formula(chain, 1200)) == models
+    finally:
+        sys.setrecursionlimit(limit)
+    path = tmp_path / "pairs.ckt"
+    path.write_text(print_circuit(pairs) + "\n")
+    assert run("count", str(path)) == (0, f"{4**m - 3**m}\n", "")
 
 
 def test_counts_of_any_length_print(run, tmp_path):

@@ -41,6 +41,7 @@ from strategies import (
     cnf_formulas,
     comparator_formulas,
     comparators,
+    deep_formulas,
     formulas,
     gadget_formulas,
 )
@@ -395,3 +396,14 @@ def test_deep_comparator_is_counted_without_recursion():
         assert threshold_check(psi, 1)
     finally:
         sys.setrecursionlimit(limit)
+
+
+@settings(max_examples=60)
+@given(deep_formulas())
+def test_deep_formulas_count_and_threshold_match_bruteforce(f):
+    # long chains and negation nests open deep stacks of searches: long
+    # runs of splits, and one complement per Not
+    count = count_bruteforce(f)
+    assert count_fast(f) == count
+    assert threshold_check(f, count)
+    assert not threshold_check(f, count + 1)

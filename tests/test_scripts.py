@@ -47,3 +47,14 @@ def test_gadget_growth_prints_the_size_contracts():
         # comparator at c = 2**(n-1): 2n; psi with 2*delta < 2**n: 2|f| + 2n + 6
         assert mkless == 2 * n
         assert psi == 2 * f_size + 2 * n + 6
+
+
+def test_search_digest_does_not_depend_on_the_hash_seed(monkeypatch):
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        monkeypatch.setenv("PYTHONHASHSEED", hash_seed)
+        proc = _run_script("search_digest.py", "--seed", "3", "--budget", "4")
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    (out,) = outputs
+    assert re.fullmatch(r"[0-9a-f]{64}\n", out)

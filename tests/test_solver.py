@@ -30,7 +30,7 @@ from dmaxsat.generate import random_split_instance
 from dmaxsat.selftest import solver_law
 from dmaxsat.solver import _relabel
 
-from strategies import cnf_formulas, formulas
+from strategies import cnf_formulas, deep_formulas, formulas
 
 
 OR_XY = Formula(Or(Var(1), Var(2)), 2)
@@ -306,3 +306,37 @@ def test_max_sum_search_matches_enumeration_under_caps(f, data):
                 assert value == best
             else:
                 assert value >= cap
+
+
+@settings(max_examples=60)
+@given(deep_formulas(), st.data())
+def test_max_sum_search_on_deep_formulas_matches_enumeration(f, data):
+    # the chooser block is x1..xk of the drawn tree as it stands
+    k = data.draw(st.integers(0, f.scope))
+    residue = residue_of(f.node)
+    best = _max_sum(f.node, f.scope, k)
+    assert count_residue(residue, 1, f.scope, {}, None, k) == best
+    for cap in {best, best + 1} - {0}:
+        value = count_residue(residue, 1, f.scope, {}, cap, k)
+        if best < cap:
+            assert value == best
+        else:
+            assert value >= cap
+
+
+@settings(max_examples=60)
+@given(st.one_of(formulas(max_scope=7), cnf_formulas(max_scope=7)), st.data())
+def test_max_sum_search_reads_lower_bounds_under_other_caps(f, data):
+    # one memo for the searches at caps 1..best + 1 and then uncapped: a
+    # lower bound stored under one cap answers only a search that it
+    # reaches the cap of, and the next cap is one above it
+    k = data.draw(st.integers(0, f.scope))
+    residue = residue_of(f.node)
+    best = _max_sum(f.node, f.scope, k)
+    memo = {}
+    for cap in [*range(1, best + 2), None]:
+        value = count_residue(residue, 1, f.scope, memo, cap, k)
+        if cap is None or best < cap:
+            assert value == best
+        else:
+            assert value >= cap
