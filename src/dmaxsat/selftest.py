@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .counting import count_bruteforce, count_fast
-from .formats import print_circuit
+from .formats import parse_circuit, print_circuit
 from .formula import And, Formula, Not, Or
 from .gadgets import k_value, less_than_const, pack_many, pack_pair, psi_gadget, unpack_digits
 from .generate import random_cnf, random_formula, random_split_instance
 from .reduction import EqualityQuery, ThresholdQuery, combine_equalities, eq_to_geq
 from .reduction import split_target, verify_threshold
-from .solver import SplitInstance, count_given_x, dmax_decide, dmax_pruned, max_count
+from .solver import SplitInstance, Witness, count_given_x, dmax_decide, dmax_pruned, max_count
 
 
 @dataclass
@@ -323,9 +323,10 @@ def _solver_problem(rng: random.Random, instance: SplitInstance) -> str | None:
     top = max_count(instance)
     if (top.values, top.achieved) != (best_values, best_count):
         return f"max_count returned {top}, oracle found {best_values} -> {best_count}"
+    decided: dict[int, Witness | None] = {}
     for bound in sorted({0, best_count, best_count + 1, rng.randint(0, (1 << len(ys)) + 1)}):
         bounded = dataclasses.replace(instance, bound=bound)
-        plain = dmax_decide(bounded)
+        plain = decided[bound] = dmax_decide(bounded)
         pruned = dmax_pruned(bounded)
         if plain != pruned:
             return f"engines disagree at bound {bound}: {plain} vs {pruned}"
@@ -335,6 +336,13 @@ def _solver_problem(rng: random.Random, instance: SplitInstance) -> str | None:
             plain.achieved < bound or count_given_x(instance, plain.values) != plain.achieved
         ):
             return f"invalid witness {plain} at bound {bound}"
+    # the decisions above read the memo that max_count left for this
+    # formula; an equal but distinct copy starts each one on an empty memo
+    for bound, plain in decided.items():
+        copy = parse_circuit(print_circuit(instance.formula))
+        cold = dmax_pruned(SplitInstance(copy, xs, ys, bound))
+        if cold != plain:
+            return f"engines disagree at bound {bound} on a fresh copy: {plain} vs {cold}"
     return None
 
 

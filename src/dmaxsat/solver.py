@@ -7,19 +7,25 @@ engine returns the lexicographically least qualifying chooser assignment,
 which makes differential testing exact.
 
 :func:`max_count` and :func:`dmax_pruned` share one engine. It renames the
-instance's variables once (:func:`dmaxsat.formula.renamed`) so that the
-chooser block comes first, and holds it as a flat residue (see
-:mod:`dmaxsat.counting`). One max/sum search
-(:func:`dmaxsat.counting.count_residue` with k = |x|) maximizes over the
-chooser block and sums over the counted block. It forces literals inside
-the chooser block too, and when deciding it is capped at the bound, so it
-stops once a choice reaches it. A greedy descent over the chooser block
-then keeps False whenever the best below it still reaches the requirement
-(the instance's bound when deciding, the maximum when maximizing) and takes
-True otherwise. :func:`dmax_decide` is the unpruned reference: it
-enumerates the chooser block and counts each assignment on its own with
-:func:`count_given_x`, which restricts the chooser variables one at a time
-(:meth:`dmaxsat.formula.Node.restrict`) and counts what is left.
+instance's variables (:func:`dmaxsat.formula.renamed`) so that the chooser
+block comes first, and holds it as a flat residue (see
+:mod:`dmaxsat.counting`). A module-level slot keeps that residue and the
+search's memo for the last split searched, keyed by the formula's node
+(compared with ``is``), the chooser block and the sorted counted block.
+Further calls on one formula and split, at any bound, neither rename it
+again nor search again what an earlier call finished. The slot holds one
+entry: a call on another formula or split replaces it and frees the old
+memo. One max/sum search (:func:`dmaxsat.counting.count_residue` with
+k = |x|) maximizes over the chooser block and sums over the counted
+block. It forces literals inside the chooser block too, and when deciding
+it is capped at the bound, so it stops once a choice reaches it. A greedy
+descent over the chooser block then keeps False whenever the best below it
+still reaches the requirement (the instance's bound when deciding, the
+maximum when maximizing) and takes True otherwise. :func:`dmax_decide` is
+the unpruned reference: it enumerates the chooser block and counts each
+assignment on its own with :func:`count_given_x`, which restricts the
+chooser variables one at a time (:meth:`dmaxsat.formula.Node.restrict`)
+and counts what is left.
 """
 
 from __future__ import annotations
@@ -192,11 +198,24 @@ def dmax_pruned(
     return _search(instance, bound)
 
 
+# The last split searched, as (node, blocks, residue, memo): the formula's
+# node, held so that the identity test in _search stays sound, the chooser
+# block with the sorted counted block, the relabelled residue and the
+# max/sum memo. Replacing it frees the memo.
+_last: tuple[Node | None, tuple, Residue | None, dict[Residue, int]] = (None, (), None, {})
+
+
 def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
     """One max/sum search over the relabelled instance, then a greedy descent.
 
-    The instance is relabelled once so that x_vars[i] becomes variable i+1
-    and the y block follows, and held as a flat residue. One
+    The instance is relabelled so that x_vars[i] becomes variable i+1 and
+    the y block follows, and held as a flat residue. Residue and memo come
+    from the slot ``_last`` when it holds this formula's node (by identity)
+    with the same chooser block and the same sorted counted block.
+    Otherwise the instance is relabelled, the memo starts empty, and both
+    replace the slot, which frees the memo it held. The bound is not part
+    of the key: an exact memo entry holds under every cap, and a lower
+    bound answers only a search that it reaches the cap of. One
     :func:`dmaxsat.counting.count_residue` search with k = |x| maximizes
     over the chooser block and sums over the y block, capped at ``bound``
     (uncapped when ``bound`` is None or 0), and leaves in its memo every
@@ -204,17 +223,23 @@ def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
     False whenever the False child's best still reaches the requirement
     (``bound``, or the maximum when ``bound`` is None) and takes True
     otherwise. A child's best is searched again under the same cap. That
-    is a memo lookup when the search met the child and either finished it
-    or reached the cap there (a lower bound the memo keeps), and a further
-    search when the search forced a literal past the child or stopped
-    before it. The leaf reached is the lexicographically least
-    chooser meeting the requirement, and its count is searched uncapped,
-    so ``achieved`` is exact.
+    is a memo lookup when this or an earlier search on the slot met the
+    child and either finished it or reached the cap there (a lower bound
+    the memo keeps), and a further search when the search forced a literal
+    past the child or stopped before it. The leaf reached is the
+    lexicographically least chooser meeting the requirement, and its count
+    is searched uncapped, so ``achieved`` is exact.
     """
+    global _last
     k = len(instance.x_vars)
     scope = instance.formula.scope
-    memo: dict[Residue, int] = {}
-    residue = residue_of(_relabel(instance))
+    node = instance.formula.node
+    blocks = (instance.x_vars, tuple(sorted(instance.y_vars)))
+    held, held_blocks, residue, memo = _last
+    if held is not node or held_blocks != blocks:
+        memo = {}
+        residue = residue_of(_relabel(instance))
+        _last = (node, blocks, residue, memo)
     cap = bound or None  # every chooser reaches a bound of 0
     best = count_residue(residue, 1, scope, memo, cap, k)
     need = best if bound is None else bound

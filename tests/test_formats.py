@@ -13,13 +13,14 @@ from dmaxsat import (
     ParseError,
     Var,
     count_bruteforce,
+    count_fast,
     parse_circuit,
     parse_dimacs,
     print_circuit,
     read_formula,
 )
 
-from strategies import formulas
+from strategies import deep_formulas, formulas
 
 
 def test_parse_circuit_examples():
@@ -105,6 +106,13 @@ def test_parse_circuit_rejects_bad_input(text):
 @given(formulas(max_scope=7))
 def test_print_parse_round_trip(f):
     assert parse_circuit(print_circuit(f)) == f
+
+
+@given(deep_formulas())
+def test_print_parse_round_trip_on_deep_formulas(f):
+    parsed = parse_circuit(print_circuit(f))
+    assert parsed == f
+    assert count_fast(parsed) == count_fast(f)
 
 
 def test_parse_whitespace_and_newlines():

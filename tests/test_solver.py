@@ -1,7 +1,10 @@
 """Split instances, block parsing, and the decision/maximization engines."""
 
 import dataclasses
+import gc
 import random
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,9 @@ from dmaxsat import (
     dmax_pruned,
     max_count,
     parse_blocks,
+    parse_circuit,
     parse_dimacs,
+    print_circuit,
 )
 from dmaxsat.counting import count_residue, residue_of
 from dmaxsat.generate import random_split_instance
@@ -231,6 +236,81 @@ def test_engines_match_reference_on_cnf(f, data):
         plain = dmax_decide(bounded)
         assert dmax_pruned(bounded) == plain
         assert (plain is not None) == (bound <= best.achieved)
+
+
+def _fresh_reference(instance, bound=None):
+    # dmax_decide on an equal but distinct copy of the formula; with no
+    # bound, at the enumerated maximum, where it returns max_count's witness
+    copy = parse_circuit(print_circuit(instance.formula))
+    if bound is None:
+        bound = _oracle_best(instance)[1]
+    return dmax_decide(SplitInstance(copy, instance.x_vars, instance.y_vars, bound))
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(formulas(max_scope=6), cnf_formulas(max_scope=6), deep_formulas(max_scope=6)),
+    formulas(max_scope=5),
+    st.data(),
+)
+def test_solver_calls_in_any_order_match_the_reference(f, other, data):
+    # one formula object under three splits (a drawn one, its x block
+    # permuted, and the same order cut elsewhere), and another formula's
+    # split, called in a drawn order at drawn bounds: each call reads or
+    # replaces the solver's slot, and each answer is the reference's
+    order = data.draw(st.permutations(range(1, f.scope + 1)))
+    cut, recut = data.draw(st.integers(0, f.scope)), data.draw(st.integers(0, f.scope))
+    xs, ys = tuple(order[:cut]), tuple(order[cut:])
+    other_cut = data.draw(st.integers(0, other.scope))
+    splits = [
+        SplitInstance(f, xs, ys),
+        SplitInstance(f, tuple(data.draw(st.permutations(xs))), ys),
+        SplitInstance(f, tuple(order[:recut]), tuple(order[recut:])),
+        SplitInstance(
+            other, tuple(range(1, other_cut + 1)), tuple(range(other_cut + 1, other.scope + 1))
+        ),
+    ]
+    calls = data.draw(
+        st.lists(st.tuples(st.integers(0, len(splits) - 1), st.booleans()), min_size=1, max_size=8)
+    )
+    for which, decide in calls:
+        instance = splits[which]
+        if decide:
+            bound = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
+            bounded = dataclasses.replace(instance, bound=bound)
+            assert dmax_pruned(bounded) == _fresh_reference(instance, bound)
+        else:
+            assert max_count(instance) == _fresh_reference(instance)
+
+
+def test_one_variable_order_under_two_chooser_blocks():
+    # x = {1}, y = {2} and x = {1, 2}, y = {} relabel x1 or x2 to the same
+    # residue, but its value over 1..2 is 2 under the first and 1 under
+    # the second, so the solver must not share their memo
+    assert max_count(SplitInstance(OR_XY, (1,), (2,))) == Witness((True,), 2)
+    assert max_count(SplitInstance(OR_XY, (1, 2), ())) == Witness((False, True), 1)
+    assert max_count(SplitInstance(OR_XY, (1,), (2,))) == Witness((True,), 2)
+
+
+def test_solver_keeps_one_formula_and_still_checks_limits():
+    # (x1 and x2) or not x3 with x = {1}: True gives 3 models, False 2
+    first = Formula(Or(And(Var(1), Var(2)), Not(Var(3))), 3)
+    node = first.node
+    refs = sys.getrefcount(node)
+    instance = SplitInstance(first, (1,), (2, 3))
+    assert max_count(instance) == Witness((True,), 3)
+    assert sys.getrefcount(node) > refs  # held while it is the last formula
+    with pytest.raises(ScopeLimitError):
+        max_count(instance, limit=0)
+    with pytest.raises(ScopeLimitError):
+        dmax_pruned(dataclasses.replace(instance, bound=1), limit=1)
+    assert dmax_pruned(dataclasses.replace(instance, bound=3)) == Witness((True,), 3)
+    assert max_count(SplitInstance(OR_XY, (1,), (2,))) == Witness((True,), 2)
+    assert sys.getrefcount(node) == refs
+    formula = weakref.ref(first)
+    del first, instance
+    gc.collect()
+    assert formula() is None
 
 
 def test_relabel_keeps_shared_subtrees_shared():
