@@ -6,6 +6,11 @@ the atoms ``true``, ``false``, ``xK`` and the operators ``not``, ``and``,
 digits. Canonical output is strictly binary; the parser also accepts n-ary
 ``and``/``or`` and folds them to the right, so printing then re-parsing is
 the structural identity. Neither walk recurses, so any depth round-trips.
+
+Each parse checks a distinct atom (circuit) or literal (DIMACS) token once,
+in a table that lives for that call only, and every later occurrence of the
+token shares its node. Equality stays structural: a parse equals any tree of
+the same shape, and two parses of one text share no node.
 """
 
 from __future__ import annotations
@@ -76,6 +81,8 @@ def parse_circuit(text: str) -> Formula:
         raise _error(text, 3, f"scope must be a nonnegative integer, got {raw!r}")
     _expect(text, tokens, 3, ")")
     scope = int(raw)
+    # each atom token is checked once; its later occurrences share the node
+    atoms: dict[str, Node] = {"true": TRUE, "false": FALSE}
     stack: list[tuple[str, list[Node]]] = []  # open (op, operands) frames
     i = 4
     while True:
@@ -91,26 +98,27 @@ def parse_circuit(text: str) -> Formula:
             op, operands = stack.pop()
             if token is None:
                 raise _error(text, i, "unexpected end of input, expected ')'")
-            if len(operands) < 2:
+            if len(operands) == 2:
+                node = (And if op == "and" else Or)(*operands)
+            elif len(operands) < 2:
                 raise _error(text, i, f"'{op}' needs at least two operands")
-            node = and_all(operands) if op == "and" else or_all(operands)
-        elif token == "true":
-            node = TRUE
-        elif token == "false":
-            node = FALSE
+            else:
+                node = and_all(operands) if op == "and" else or_all(operands)
         elif token is None:
             raise _error(text, i, "unexpected end of input, expected a formula")
         else:
-            match = _VAR_ATOM.fullmatch(token)
-            if not match:
-                raise _error(text, i, f"expected a formula, got {token!r}")
-            index = int(match.group(1))
-            if index < 1:
-                raise _error(text, i, "variable index must be >= 1")
-            if index > scope:
-                message = f"variable x{index} exceeds declared scope {scope}"
-                raise _error(text, i, message)
-            node = Var(index)
+            node = atoms.get(token)
+            if node is None:
+                match = _VAR_ATOM.fullmatch(token)
+                if not match:
+                    raise _error(text, i, f"expected a formula, got {token!r}")
+                index = int(match.group(1))
+                if index < 1:
+                    raise _error(text, i, "variable index must be >= 1")
+                if index > scope:
+                    message = f"variable x{index} exceeds declared scope {scope}"
+                    raise _error(text, i, message)
+                node = atoms[token] = Var(index)
         i += 1
         while stack and stack[-1][0] == "not":
             _expect(text, tokens, i, ")")
@@ -157,8 +165,10 @@ def parse_dimacs(text: str) -> Formula:
     must end with 0.
     """
     n_vars: int | None = None
-    clauses: list[list[int]] = []
-    pending: list[int] = []
+    # each literal token is checked once; "0" and its spellings map to None
+    literals: dict[str, Node | None] = {}
+    clauses: list[list[Node]] = []
+    pending: list[Node] = []
     last_line = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         last_line = line_no
@@ -176,36 +186,42 @@ def parse_dimacs(text: str) -> Formula:
         if n_vars is None:
             raise ParseError("clause line before the 'p cnf' header", line_no, 1)
         for token in line.split():
-            # accepts exactly [+-]?[0-9]+, which int alone would widen
-            ascii_int = token.isascii() and token[token[0] in "+-":].isdigit()
-            literal = int(token) if ascii_int else None
-            if literal is None or abs(literal) > n_vars:
-                # every earlier token on the line was accepted, so none equals it
-                column = next(m.start() for m in _WORD.finditer(raw) if m[0] == token)
-                raise ParseError(
-                    f"non-integer literal {token!r}"
-                    if literal is None
-                    else f"literal {literal} exceeds declared variable count {n_vars}",
-                    line_no,
-                    column + 1,
-                )
-            if literal == 0:
+            if token in literals:
+                node = literals[token]
+            else:
+                # accepts exactly [+-]?[0-9]+, which int alone would widen
+                ascii_int = token.isascii() and token[token[0] in "+-":].isdigit()
+                literal = int(token) if ascii_int else None
+                if literal is None or abs(literal) > n_vars:
+                    # every earlier token on the line was accepted, so none equals it
+                    column = next(m.start() for m in _WORD.finditer(raw) if m[0] == token)
+                    raise ParseError(
+                        f"non-integer literal {token!r}"
+                        if literal is None
+                        else f"literal {literal} exceeds declared variable count {n_vars}",
+                        line_no,
+                        column + 1,
+                    )
+                if literal > 0:
+                    node = Var(literal)
+                elif literal < 0:
+                    node = Not(Var(-literal))
+                else:
+                    node = None
+                literals[token] = node
+            if node is None:
                 clauses.append(pending)
                 pending = []
             else:
-                pending.append(literal)
+                pending.append(node)
     if n_vars is None:
         raise ParseError("missing 'p cnf' header", max(last_line, 1), 1)
     if pending:
         raise ParseError(
             "unterminated clause at end of input", max(last_line, 1), 1
         )
-    node = and_all([or_all([_literal(lit) for lit in clause]) for clause in clauses])
+    node = and_all([or_all(clause) for clause in clauses])
     return Formula(node, n_vars)
-
-
-def _literal(lit: int) -> Node:
-    return Var(lit) if lit > 0 else Not(Var(-lit))
 
 
 def read_formula(path: str, fmt: str | None = None) -> Formula:

@@ -5,6 +5,10 @@ variable block x1..xn that evaluation and counting range over. The scope may
 exceed the highest variable that actually occurs; every unused scope variable
 doubles the model count, and the count-shaping gadgets rely on exactly that.
 
+Trees may share immutable subtrees: a parse shares each atom's node, and
+rewriting returns untouched subtrees as they are. Size and equality are
+still those of the tree written out in full.
+
 Size means the number of Boolean operators (not/and/or nodes); variables and
 constants are free. Gadget constructors build fixed right-folded shapes and
 never simplify, so size stays an exact, testable quantity.

@@ -1,5 +1,9 @@
 """Circuit and DIMACS parsing, printing, and error positions."""
 
+import gc
+import sys
+import weakref
+
 import pytest
 from hypothesis import given
 
@@ -12,15 +16,17 @@ from dmaxsat import (
     Or,
     ParseError,
     Var,
+    and_all,
     count_bruteforce,
     count_fast,
+    or_all,
     parse_circuit,
     parse_dimacs,
     print_circuit,
     read_formula,
 )
 
-from strategies import deep_formulas, formulas
+from strategies import cnf_formulas, deep_formulas, formulas
 
 
 def test_parse_circuit_examples():
@@ -87,6 +93,22 @@ _BAD_CIRCUITS = {
     "(scope 2) )": ("expected a formula, got ')'", 1, 11),
     "(scope 2) (or x1 x2))": ("unexpected trailing input ')'", 1, 21),
     "(scope 2)\f(or x1 x2)": ("expected a formula, got '\\x0c'", 1, 10),
+    # a bad token after accepted repeats of other atoms, or repeated itself
+    "(scope 2) (and x1 (or x1 x3))": ("variable x3 exceeds declared scope 2", 1, 26),
+    "(scope 2) (and x2 (not x2 x1))": ("expected ')', got 'x1'", 1, 27),
+    "(scope 2) (or x2 (and x2 x0))": ("variable index must be >= 1", 1, 26),
+    "(scope 3) (and x1 (or x3 (and x1 y1)))": ("expected a formula, got 'y1'", 1, 34),
+    "(scope 2) (or x1 (or x1 x3 x3))": ("variable x3 exceeds declared scope 2", 1, 25),
+    "(scope 2)\n(and x1\n  (or x2 x1)\n  (and x1 x02 true true x3))": (
+        "variable x3 exceeds declared scope 2",
+        4,
+        25,
+    ),
+    "(scope 2) (and true (or true x1 (not x1) x01 x2 x\u0662))": (
+        "expected a formula, got 'x\u0662'",
+        1,
+        49,
+    ),
 }
 
 
@@ -187,6 +209,122 @@ def test_parse_dimacs_literal_errors_name_their_column(text, line, column):
     with pytest.raises(ParseError) as err:
         parse_dimacs(text)
     assert (err.value.line, err.value.column) == (line, column)
+
+
+# a bad literal after accepted repeats, repeated itself on a later line
+_BAD_DIMACS = {
+    "p cnf 2 3\n1 -2 0\n-2 3 0\n3 0\n": (
+        "literal 3 exceeds declared variable count 2",
+        3,
+        4,
+    ),
+    "p cnf 2 2\n1 2 0\n2 a 0\na 0\n": ("non-integer literal 'a'", 3, 3),
+    "p cnf 2 2\n1 1 0\n1 -1 -5 0\n-5 0\n": (
+        "literal -5 exceeds declared variable count 2",
+        3,
+        6,
+    ),
+    "p cnf 2 2\n-1 0\n-1 2 -1 1_0 0\n1_0 0\n": ("non-integer literal '1_0'", 3, 9),
+    "p cnf 2 2\n01 -02 0\n01 +2 -3 0\n-3 0\n": (
+        "literal -3 exceeds declared variable count 2",
+        3,
+        7,
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(_BAD_DIMACS))
+def test_parse_dimacs_rejects_bad_repeated_literal(text):
+    message, line, column = _BAD_DIMACS[text]
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == f"{line}:{column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_parse_dimacs_literal_spellings_parse_alike():
+    plain = parse_dimacs("p cnf 2 3\n1 0\n-1 2 0\n1 0\n")
+    assert parse_dimacs("p cnf 2 3\n01 0\n-01 +2 00\n+1 -0\n") == plain
+    assert parse_dimacs("p cnf 2 3\n01 +0\n-1 02 0\n1 0\n") == plain
+
+
+def test_parse_shares_each_atom_within_one_call():
+    f = parse_circuit("(scope 3) (and x1 (or (not x1) (and x2 (or x1 x2))))")
+    assert f.node.left is f.node.right.left.child is f.node.right.right.right.left
+    assert f.node.right.right.left is f.node.right.right.right.right
+    again = parse_circuit("(scope 3) (and x1 (or (not x1) (and x2 (or x1 x2))))")
+    assert again == f and again.node.left is not f.node.left
+
+    g = parse_dimacs("p cnf 3 3\n1 -2 0\n-2 3\n0 -2 1 0\n")
+    first, second, third = g.node.left, g.node.right.left, g.node.right.right
+    assert first.right is second.left is third.left
+    assert first.right == Not(Var(2))
+    assert first.left is third.right
+    other = parse_dimacs("p cnf 3 3\n1 -2 0\n-2 3\n0 -2 1 0\n")
+    assert other == g and other.node.left.left is not first.left
+
+    shifted = f.shift(2)
+    assert shifted.node.left == Var(3)
+    assert shifted.node.left is shifted.node.right.left.child
+    assert shifted.node.left is shifted.node.right.right.right.left
+
+
+def test_parse_tables_do_not_outlive_the_call():
+    f = parse_circuit("(scope 2) (or x1 (and x1 (not x2)))")
+    g = parse_dimacs("p cnf 2 3\n1 -2 0\n-2 0\n1 -2 0\n")
+    x1, not_x2 = f.node.left, g.node.left.right
+    # each leaf is held by its parents in the tree, the local name and the call
+    assert sys.getrefcount(x1) == 2 + 2
+    assert sys.getrefcount(not_x2) == 3 + 2
+    refs = [weakref.ref(f), weakref.ref(g)]
+    del f, g
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert sys.getrefcount(x1) == sys.getrefcount(not_x2) == 2
+
+
+def test_nary_operators_with_repeated_atoms_fold_right():
+    f = parse_circuit("(scope 2) (and x1 x1 (or x2 x1 x2))")
+    assert f == Formula(And(Var(1), And(Var(1), Or(Var(2), Or(Var(1), Var(2))))), 2)
+    assert f.node.left is f.node.right.left is f.node.right.right.right.left
+    assert f.node.right.right.left is f.node.right.right.right.right
+    assert count_fast(f) == count_bruteforce(f) == 2
+
+
+def _clauses(node):
+    """The conjuncts of a CNF-shaped tree in order, each as its literals."""
+    out = []
+    pending = [node]
+    while pending:
+        top = pending.pop()
+        if type(top) is And:
+            pending += (top.right, top.left)
+        elif top != TRUE:
+            out.append(_disjuncts(top))
+    return out
+
+
+def _disjuncts(node):
+    if type(node) is Or:
+        return _disjuncts(node.left) + _disjuncts(node.right)
+    return [] if node == FALSE else [node]
+
+
+def _dimacs(f):
+    clauses = _clauses(f.node)
+    lines = [f"p cnf {f.scope} {len(clauses)}"]
+    for clause in clauses:
+        lits = [f"-{x.child.index}" if type(x) is Not else f"{x.index}" for x in clause]
+        lines.append(" ".join(lits + ["0"]))
+    return "\n".join(lines) + "\n"
+
+
+@given(cnf_formulas())
+def test_dimacs_round_trip(f):
+    clauses = _clauses(f.node)
+    parsed = parse_dimacs(_dimacs(f))
+    assert parsed == Formula(and_all(or_all(clause) for clause in clauses), f.scope)
+    assert count_fast(parsed) == count_bruteforce(parsed) == count_bruteforce(f)
 
 
 def test_read_formula_by_suffix(tmp_path):
