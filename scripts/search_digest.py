@@ -8,12 +8,15 @@ imports ``dmaxsat`` from ``PYTHONPATH``) and compare the lines.
     PYTHONPATH=src python scripts/search_digest.py --seed 1 --seed 2
 
 For each seed it builds a corpus of random trees, random CNF, packed and
-psi gadget formulas and comparators. Each formula is searched at k = 0 and
-two drawn chooser block sizes: uncapped, then at caps 1, best, best + 1
-and a drawn cap. Each capped search runs on a fresh memo, followed on the
-memo it left by a greedy descent over the chooser block, as the solver
-makes, and by searches at the cap plus one and uncapped, which read its
-lower bounds; the capped search also runs on the uncapped search's memo.
+psi gadget formulas, comparators, and shifted copies: a formula beside its
+copy on the next block or that copy's complement, and ``pack_many`` of one
+operand repeated, alone or with its complement. Each formula is searched
+at k = 0 and two drawn chooser block sizes: uncapped, then at caps 1,
+best, best + 1 and a drawn cap. Each capped search runs on a fresh memo,
+followed on the memo it left by a greedy descent over the chooser block,
+as the solver makes, and by searches at the cap plus one and uncapped,
+which read its lower bounds; the capped search also runs on the uncapped
+search's memo.
 Every result and the full contents of every memo, sorted by key, enter
 the digest, so the line does not depend on ``PYTHONHASHSEED``.
 """
@@ -22,7 +25,7 @@ import argparse
 import hashlib
 import random
 
-from dmaxsat import Formula, less_than_const, pack_many, psi_gadget
+from dmaxsat import And, Formula, Not, less_than_const, pack_many, psi_gadget
 from dmaxsat.counting import count_residue, residue_of, restrict_residue
 from dmaxsat.generate import random_cnf, random_formula
 
@@ -41,6 +44,13 @@ def corpus(rng: random.Random, budget: int) -> list[Formula]:
         out.append(psi_gadget(f, rng.randint(0, 1 << (f.scope - 1))))
         n = rng.randint(1, 12)
         out.append(less_than_const(n, rng.randint(0, 1 << n)))
+        f = random_formula(rng, rng.randint(1, 6), 12)
+        copy = f.shift(f.scope).node
+        beside = Not(copy) if rng.random() < 0.5 else copy
+        out.append(Formula(And(f.node, beside), 2 * f.scope))
+        f = random_formula(rng, rng.randint(1, 3), 6)
+        repeated = [f if rng.random() < 0.7 else f.negate() for _ in range(rng.randint(2, 3))]
+        out.append(pack_many(repeated))
     return out
 
 

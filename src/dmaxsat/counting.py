@@ -17,16 +17,21 @@ conjuncts, none of them an ``And`` or free of variables, sorted by
 variables and shares every conjunct that cannot mention them. Each residue
 is searched by one generator that yields its children, and an outer loop
 keeps the open generators on an explicit stack, so the search itself does
-not recurse. The tree walks it calls still do: :meth:`Node.restrict` down to
-the variable it sets, and ``Node.__eq__`` through equal but distinct
-conjuncts when a memo lookup compares them. A deep tree is safe when the
-search sets only variables near its top, as it does on a comparator chain,
-and may meet the recursion limit otherwise. :func:`threshold_check` runs
-the search capped at the bound, and the chooser solver with its chooser
-block 1..k maximized instead of summed. Inside that block the search still
-forces literals, and caps hold there too, so a bounded chooser search stops
-once a choice reaches its bound; components, complements and the other
-splits wait until the chooser block is set.
+not recurse. Node hashes ignore shifts (see :mod:`dmaxsat.formula`), so a
+search can read a finished independent sub-search that it meets again at
+another offset, as the mirror of :func:`dmaxsat.gadgets.psi_gadget`
+repeats its operand: the component cache of sharpSAT (Thurley, SAT 2006),
+modulo a shift. The tree walks it calls still recurse:
+:meth:`Node.restrict` down to the variable it sets, and ``Node.__eq__``
+through equal but distinct conjuncts when a memo lookup compares them. A
+deep tree is safe when the search sets only variables near its top, as it
+does on a comparator chain, and may meet the recursion limit otherwise.
+:func:`threshold_check` runs the search capped at the bound, and the
+chooser solver with its chooser block 1..k maximized instead of summed.
+Inside that block the search still forces literals, and caps hold there
+too, so a bounded chooser search stops once a choice reaches its bound;
+components, complements and the other splits wait until the chooser block
+is set.
 """
 
 from __future__ import annotations
@@ -189,6 +194,11 @@ def _decision(residue: Residue, v: int) -> int:
             left, right = c.left, c.right
             if (type(left) is Or and left.min_var) or (type(right) is Or and right.min_var):
                 continue
+            a, b = _literal(left), _literal(right)
+            if a and b:
+                if a == -b:
+                    return abs(a)
+                continue
             left, right = residue_of(left), residue_of(right)
             if left is None or right is None:
                 both = {_literal(x) for x in left or right or ()}
@@ -199,6 +209,31 @@ def _decision(residue: Residue, v: int) -> int:
             if both:
                 return min(map(abs, both))
     return v
+
+
+def _shifted(a: Residue, b: Residue) -> bool:
+    # whether b is a of the same length with every variable index moved by
+    # one offset: one walk over both on an explicit stack. Equal hashes and
+    # types at every pair are a quick test; the leaves decide, a Var by its
+    # moved index and a constant by its hash
+    offset = b[0].min_var - a[0].min_var
+    stack = list(zip(a, b))
+    while stack:
+        x, y = stack.pop()
+        if x is y and not offset:
+            continue
+        kind = type(x)
+        if (
+            type(y) is not kind
+            or y.hash_ != x.hash_
+            or x.min_var and y.min_var - x.min_var != offset
+        ):
+            return False
+        if kind is Not:
+            stack.append((x.child, y.child))
+        elif kind is And or kind is Or:
+            stack += ((x.left, y.left), (x.right, y.right))
+    return True
 
 
 def count_residue(
@@ -222,7 +257,37 @@ def count_residue(
     reached. That lower bound answers a later search that it reaches the
     cap of, so the solver's descent under the same cap reads it instead of
     searching the residue again; any other search replaces it.
+
+    Each call also owns a table, freed when it returns, of the searches
+    that start apart from their parent above the chooser block: the child
+    of a complement and each part of a component. It is keyed by a
+    residue's length, its width ``max_var - min_var`` and its hash, which
+    ignores shifts, and holds one residue with its exact count over
+    ``min_var..max_var``. A part whose key matches is checked against that
+    residue, moved by one offset, in one walk on an explicit stack; when it
+    matches, the count is scaled to the part's place and no search runs, so
+    ``memo`` gets no entry for the part.
     """
+
+    # a finished independent search by (length, width, hash): a residue
+    # and its value over its own min_var..max_var; hashes ignore shifts
+    apart: dict[tuple[int, int, int], tuple[Residue, int]] = {}
+
+    def independent(
+        part: Residue, cap: int | None, fresh: list[Node] | None, reach: int
+    ) -> Generator[tuple, int, int]:
+        # the value over part's own lowest variable..scope of a complement's
+        # child or a component's part, above the chooser block: read from
+        # apart when a shifted copy was searched exactly, else searched
+        low, top = part[0].min_var, max(map(_MAX, part))
+        key = len(part), top - low, hash(part)
+        seen = apart.get(key)
+        if seen is not None and _shifted(seen[0], part):
+            return seen[1] << (scope - top)
+        value = yield part, low, cap, fresh, reach
+        if cap is None or value < cap:
+            apart[key] = part, value >> (scope - top)
+        return value
 
     def search(
         residue: Residue, v: int, cap: int | None, fresh: list[Node] | None, reach: int
@@ -276,18 +341,19 @@ def count_residue(
             # component: a prefix whose variables all lie below the next
             # conjunct's is counted apart, and the value is the product of
             # the two parts; the second is capped at the cap over the first
-            value = yield residue[:i], v, None, [], 0
+            value = yield from independent(residue[:i], None, [], 0)
             if value:
                 b = residue[i].min_var
                 first = value >> (scope - b + 1)
                 rest = None if cap is None else -(-cap // first)
-                value = first * (yield residue[i:], b, rest, [], scope)
+                value = first * (yield from independent(residue[i:], rest, [], scope))
             if cap is not None and value >= cap:
                 return value  # a product that reaches its cap is not exact
         elif len(residue) == 1 and type(residue[0]) is Not:
             # complement: a single Not(X) has 2**(scope - v + 1) minus the
             # value of X, searched uncapped: a bound on X bounds no complement
-            inner = yield residue_of(residue[0].child), v, None, None, scope
+            child = residue_of(residue[0].child)
+            inner = 0 if child is None else (yield from independent(child, None, None, scope))
             value = (1 << (scope - v + 1)) - inner
         else:
             # sum split, False before True, on the top variable of a lone Or

@@ -9,6 +9,11 @@ Trees may share immutable subtrees: a parse shares each atom's node, and
 rewriting returns untouched subtrees as they are. Size and equality are
 still those of the tree written out in full.
 
+Hashes ignore where a tree sits: a tree and its copy moved by
+:meth:`Formula.shift` hash alike, while equality still tells them apart.
+The counter uses this to find a finished sub-search again at another
+offset, as in the mirror that :func:`dmaxsat.gadgets.psi_gadget` builds.
+
 Size means the number of Boolean operators (not/and/or nodes); variables and
 constants are free. Gadget constructors build fixed right-folded shapes and
 never simplify, so size stays an exact, testable quantity.
@@ -35,24 +40,19 @@ class ScopeError(ValueError):
     """A variable index or assignment does not fit the declared scope."""
 
 
-def _join_min(a: int, b: int) -> int:
-    # 0 means "no variables"
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    return a if a < b else b
-
-
 class Node:
     """Base class for operator-tree nodes.
 
     Nodes are immutable after construction and cache their hash, operator
     count and occurring-variable range, so equality tests, size queries and
     scope validation stay cheap on shared subtrees. A hash is built from
-    integers only (a tag per node type, the index or the children's
-    hashes), so it is the same in every process whatever its string-hash
-    seed, and so is every order that sorts by it.
+    integers only, so it is the same in every process whatever its
+    string-hash seed, and so is every order that sorts by it: a tag per node
+    type, and for ``And`` and ``Or`` the children's hashes and the gap
+    between their lowest variables. No hash holds a variable index, so
+    shifting every index by one offset keeps every hash. Equality stays
+    absolute: ``Var`` compares indices, and the other nodes compare
+    ``min_var`` before their children.
     """
 
     __slots__ = ("hash_", "ops", "min_var", "max_var")
@@ -119,7 +119,7 @@ class Var(Node):
         self.ops = 0
         self.min_var = index
         self.max_var = index
-        self.hash_ = hash((1, index))
+        self.hash_ = hash((1,))
 
     def __repr__(self) -> str:
         return f"x{self.index}"
@@ -159,6 +159,7 @@ class Not(Node):
         return (
             type(other) is Not
             and other.hash_ == self.hash_
+            and other.min_var == self.min_var
             and other.child == self.child
         )
 
@@ -189,9 +190,15 @@ class And(Node):
         self.left = left
         self.right = right
         self.ops = left.ops + right.ops + 1
-        self.min_var = _join_min(left.min_var, right.min_var)
+        # min_var 0 means "no variables"; the hash holds the gap between the
+        # children's lowest variables, and 0 in its place beside a constant
+        low, high = left.min_var, right.min_var
+        if low and high:
+            self.min_var, gap = (low if low < high else high), high - low
+        else:
+            self.min_var, gap = low or high, 0
         self.max_var = left.max_var if left.max_var > right.max_var else right.max_var
-        self.hash_ = hash((3, left.hash_, right.hash_))
+        self.hash_ = hash((3, left.hash_, right.hash_, gap))
 
     def __repr__(self) -> str:
         return f"And({self.left!r}, {self.right!r})"
@@ -202,6 +209,7 @@ class And(Node):
         return (
             type(other) is And
             and other.hash_ == self.hash_
+            and other.min_var == self.min_var
             and other.left == self.left
             and other.right == self.right
         )
@@ -238,9 +246,15 @@ class Or(Node):
         self.left = left
         self.right = right
         self.ops = left.ops + right.ops + 1
-        self.min_var = _join_min(left.min_var, right.min_var)
+        # min_var 0 means "no variables"; the hash holds the gap between the
+        # children's lowest variables, and 0 in its place beside a constant
+        low, high = left.min_var, right.min_var
+        if low and high:
+            self.min_var, gap = (low if low < high else high), high - low
+        else:
+            self.min_var, gap = low or high, 0
         self.max_var = left.max_var if left.max_var > right.max_var else right.max_var
-        self.hash_ = hash((4, left.hash_, right.hash_))
+        self.hash_ = hash((4, left.hash_, right.hash_, gap))
 
     def __repr__(self) -> str:
         return f"Or({self.left!r}, {self.right!r})"
@@ -251,6 +265,7 @@ class Or(Node):
         return (
             type(other) is Or
             and other.hash_ == self.hash_
+            and other.min_var == self.min_var
             and other.left == self.left
             and other.right == self.right
         )

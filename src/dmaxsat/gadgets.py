@@ -101,13 +101,18 @@ def less_than_const(n: int, c: int) -> Formula:
         raise ValueError(f"n must be nonnegative, got {n}")
     if c < 0 or c > 1 << n:
         raise ValueError(f"c must lie in [0, 2**{n}] = [0, {1 << n}], got {c}")
+    return Formula(_comparator(n, c, 0), n)
+
+
+def _comparator(n: int, c: int, offset: int) -> Node:
+    # the tree of less_than_const(n, c), built on x(offset+1)..x(offset+n)
     if c == 1 << n:
-        return Formula(TRUE, n)
+        return TRUE
     node: Node = FALSE
     for i in range(n):
-        negated = Not(Var(i + 1))
+        negated = Not(Var(offset + i + 1))
         node = Or(negated, node) if (c >> i) & 1 else And(negated, node)
-    return Formula(node, n)
+    return node
 
 
 def _check_delta(n: int, delta: int) -> None:
@@ -149,5 +154,5 @@ def psi_gadget(f: Formula, delta: int) -> Formula:
     selector = 2 * n + 1
     mirrored = f.shift(n).node
     low = And(Not(mirrored), Not(Var(selector)))
-    high = And(less_than_const(n, 2 * delta).shift(n).node, Var(selector))
+    high = And(_comparator(n, 2 * delta, n), Var(selector))
     return Formula(And(f.node, Or(low, high)), selector)

@@ -29,13 +29,14 @@ from dmaxsat import (
     k_value,
     less_than_const,
     max_count,
+    pack_many,
     parse_dimacs,
     psi_gadget,
     threshold_check,
 )
 
 import dmaxsat.counting
-from dmaxsat.counting import _decision, count_residue, residue_of
+from dmaxsat.counting import _decision, _shifted, count_residue, residue_of
 
 from strategies import (
     cnf_formulas,
@@ -292,6 +293,97 @@ def test_forced_run_sets_its_literals_at_once():
     assert residue_of(And(Or(X1, X4), Or(X1, X5))) in memo
     after_x2 = and_all([Or(X1, X4), X3, Or(Not(X3), Or(X1, X5))])
     assert residue_of(after_x2) not in memo
+
+
+# a residue of one conjunct over x1..x3, and near misses of its copy on
+# x4..x6: (tree, whether it is the copy shifted by 3)
+SHIFTED = Or(And(X1, Not(X2)), Or(X2, X3))
+NEAR_MISSES = {
+    "shifted copy": (lambda: Or(And(Var(4), Not(Var(5))), Or(Var(5), Var(6))), True),
+    "one gap changed": (lambda: Or(And(Var(4), Not(Var(6))), Or(Var(5), Var(6))), False),
+    "one literal flipped": (lambda: Or(And(Var(4), Var(5)), Or(Var(5), Var(6))), False),
+    "a constant leaf": (lambda: Or(And(Var(4), Not(Var(5))), Or(FALSE, Var(6))), False),
+    "a different width": (lambda: Or(And(Var(4), Not(Var(5))), Or(Var(5), Var(7))), False),
+}
+
+
+def _forge(node, like):
+    # gives every operator of node the hash of like's operator at the same
+    # place, as a hash collision would, so only the walk can tell them apart
+    stack = [(node, like)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) in (Not, And, Or) and type(y) is type(x):
+            x.hash_ = y.hash_
+            if type(x) is Not:
+                stack.append((x.child, y.child))
+            else:
+                stack += ((x.left, y.left), (x.right, y.right))
+    return node
+
+
+@pytest.mark.parametrize("forged", [False, True], ids=["hashed", "forged hashes"])
+@pytest.mark.parametrize("name", NEAR_MISSES)
+def test_only_a_shifted_copy_is_read_from_the_table(name, forged):
+    # And(f, Not(g)): the part f is searched first, and the complement's
+    # child g is read from the table, leaving no memo key, only when g is f
+    # shifted; near misses are searched, and every count stays exact
+    build, copy = NEAR_MISSES[name]
+    g = _forge(build(), SHIFTED) if forged else build()
+    assert _shifted((SHIFTED,), (g,)) == copy
+    node = And(SHIFTED, Not(g))
+    memo = _searched(node, 7)
+    assert residue_of(SHIFTED) in memo
+    assert (residue_of(g) not in memo) == copy
+    count = count_bruteforce(Formula(node, 7))
+    assert threshold_check(Formula(node, 7), count)
+    assert not threshold_check(Formula(node, 7), count + 1)
+
+
+def test_capped_part_reads_an_exact_entry():
+    # the second part of a component is capped; its exact count, stored
+    # under the first part's shifted copy, answers it
+    copy = Formula(SHIFTED, 3).shift(3).node
+    node = And(SHIFTED, copy)
+    count = count_bruteforce(Formula(node, 6))
+    for cap in (count, count + 1):
+        memo = {}
+        assert count_residue(residue_of(node), 1, 6, memo, cap) == count
+        assert residue_of(copy) not in memo
+
+
+def test_psi_mirror_is_read_from_the_table():
+    # psi holds its operand on x1..x3 and the mirror on x4..x6 under Not:
+    # the mirror's residue is never searched, so the memo has no key for it
+    f = Formula(SHIFTED, 3)
+    mirror = residue_of(f.shift(3).node)
+    for delta in range(5):
+        psi = psi_gadget(f, delta)
+        memo = _searched(psi.node, psi.scope)
+        assert residue_of(SHIFTED) in memo
+        assert mirror not in memo
+
+
+@settings(max_examples=60)
+@given(formulas(max_scope=4), st.data())
+def test_shifted_copies_count_and_threshold_match_bruteforce(f, data):
+    # a formula beside its shifted copy or its complement, the psi gadget
+    # at a drawn delta, and pack_many with repeated operands all meet
+    # shifted copies of one residue, read from the table after the first
+    n = f.scope
+    copy = f.shift(n).node
+    repeated = data.draw(st.lists(st.sampled_from([f, f.negate()]), min_size=2, max_size=3))
+    shapes = [
+        Formula(And(f.node, Not(copy)), 2 * n),
+        Formula(And(f.node, copy), 2 * n),
+        psi_gadget(f, data.draw(st.integers(0, (1 << n) >> 1))),
+        pack_many(repeated),
+    ]
+    for g in shapes:
+        count = count_bruteforce(g)
+        assert count_fast(g) == count
+        assert threshold_check(g, count)
+        assert not threshold_check(g, count + 1)
 
 
 def test_caps_still_cut_the_search():

@@ -134,6 +134,25 @@ def test_structural_equality_and_hash():
     assert a != Formula(And(Not(Var(2)), Var(1)), 2)
 
 
+@given(formulas(max_scope=6), st.integers(0, 5))
+def test_hashes_ignore_a_shift(f, offset):
+    assert hash(f.shift(offset).node) == hash(f.node)
+
+
+def test_equality_stays_absolute_across_equal_hashes():
+    x1, x2, x3 = Var(1), Var(2), Var(3)
+    assert hash(x1) == hash(x2) and x1 != x2
+    assert hash(And(x1, x2)) == hash(And(x2, x3))
+    assert And(x1, x2) != And(x2, x3)
+    assert Or(x1, Not(x2)) != Or(x2, Not(x3))
+    assert Not(Or(x1, x2)) != Not(Or(x2, x3))
+    # the hash holds the gap between the children's lowest variables, and
+    # a fixed stand-in for it beside a constant
+    assert hash(And(x1, x2)) != hash(And(x1, x3))
+    assert hash(And(x1, TRUE)) == hash(And(x2, TRUE))
+    assert And(x1, TRUE) != And(x2, TRUE)
+
+
 def test_fold_helpers():
     items = [Var(1), Var(2), Var(3)]
     assert and_all(items) == And(Var(1), And(Var(2), Var(3)))

@@ -13,6 +13,7 @@ from dmaxsat import (
     TRUE,
     And,
     Formula,
+    Not,
     Or,
     Var,
     count_bruteforce,
@@ -192,3 +193,19 @@ def test_psi_law_and_exact_size(data):
     assert count_bruteforce(gadget) == k_value(f.scope, delta, count_bruteforce(f))
     assert gadget.size() == expected_psi_size(f, delta)
     assert gadget.size() <= 2 * f.size() + 3 * f.scope + 6
+
+
+@given(formulas(max_scope=6), st.data())
+def test_psi_builds_its_comparator_in_place(f, data):
+    # the tree is the one built by shifting less_than_const onto block 2,
+    # for a drawn delta and for the largest, where 2 * delta = 2**n (n >= 1)
+    # makes the comparator TRUE
+    n = f.scope
+    selector = 2 * n + 1
+    mirrored = And(Not(f.shift(n).node), Not(Var(selector)))
+    for delta in (data.draw(st.integers(0, (1 << n) >> 1)), (1 << n) >> 1):
+        comparator = less_than_const(n, 2 * delta).shift(n).node
+        shifted = Formula(And(f.node, Or(mirrored, And(comparator, Var(selector)))), selector)
+        gadget = psi_gadget(f, delta)
+        assert gadget == shifted
+        assert repr(gadget) == repr(shifted)
