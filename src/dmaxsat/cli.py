@@ -5,11 +5,12 @@ Counts print in full decimal at any length, gadget subcommands emit
 canonical circuit text plus one JSON audit line, and identical invocations
 produce identical stdout (selftest included, given a seed). A command that
 meets the recursion limit runs again in a worker thread with a raised
-limit, so deep conjuncts are counted. Exit codes: 0 success (and a "yes"
-dmax verdict), 1 a "no" dmax verdict or failed selftest, 2 bad input, 3
-enumeration limit exceeded, 4 internal failure (any other exception, for
-example the recursion limit on input deeper than that), reported as one
-``error: internal failure: ...`` line on stderr instead of a traceback.
+limit, so a variable deep inside a tree is still set. Exit codes: 0
+success (and a "yes" dmax verdict), 1 a "no" dmax verdict or failed
+selftest, 2 bad input, 3 enumeration limit exceeded, 4 internal failure
+(any other exception, for example the recursion limit on input deeper
+than that), reported as one ``error: internal failure: ...`` line on
+stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ def _file_bytes(path: str) -> bytes:
 
 
 def _emit_formula(args, formula, audit: dict) -> RunReport:
+    audit.update(cmd=args.command, scope=formula.scope, size=formula.size())
     report = RunReport()
     text = print_circuit(formula)
     if getattr(args, "out", None):
@@ -99,11 +101,8 @@ def cmd_pack(args) -> RunReport:
     operands = [read_formula(p, args.format) for p in args.paths]
     packed = pack_many(operands)
     audit = {
-        "cmd": "pack",
         "digit_width": operands[0].scope,
         "digit_count": len(operands),
-        "scope": packed.scope,
-        "size": packed.size(),
         "digest": _digest("pack", *[_file_bytes(p) for p in args.paths]),
     }
     return _emit_formula(args, packed, audit)
@@ -112,11 +111,8 @@ def cmd_pack(args) -> RunReport:
 def cmd_mkless(args) -> RunReport:
     formula = less_than_const(args.n, args.c)
     audit = {
-        "cmd": "mkless",
         "n": args.n,
         "c": str(args.c),
-        "scope": formula.scope,
-        "size": formula.size(),
         "digest": _digest("mkless", args.n, args.c),
     }
     return _emit_formula(args, formula, audit)
@@ -126,11 +122,8 @@ def cmd_psi(args) -> RunReport:
     f = read_formula(args.path, args.format)
     gadget = psi_gadget(f, args.delta)
     audit = {
-        "cmd": "psi",
         "n": f.scope,
         "delta": str(args.delta),
-        "scope": gadget.scope,
-        "size": gadget.size(),
         "digest": _digest("psi", _file_bytes(args.path), args.delta),
     }
     return _emit_formula(args, gadget, audit)
@@ -141,14 +134,11 @@ def cmd_eq2geq(args) -> RunReport:
     query = eq_to_geq(h, args.target)
     branch, delta = split_target(h.scope, args.target)
     audit = {
-        "cmd": "eq2geq",
         "n": h.scope,
         "y": str(args.target),
         "branch": branch,
         "delta": str(delta),
         "bound": str(query.bound),
-        "scope": query.formula.scope,
-        "size": query.formula.size(),
         "digest": _digest("eq2geq", _file_bytes(args.path), args.target),
     }
     return _emit_formula(args, query.formula, audit)
@@ -169,7 +159,6 @@ def cmd_combine(args) -> RunReport:
         queries.append(EqualityQuery(read_formula(path, args.format), claimed))
     collapse = combine_equalities(queries)
     audit = {
-        "cmd": "combine",
         "digit_width": queries[0].formula.scope,
         "digit_count": len(queries),
         "digits": [str(d) for d in collapse.digits],
@@ -178,8 +167,6 @@ def cmd_combine(args) -> RunReport:
         "delta": str(collapse.delta),
         "bound": str(collapse.query.bound),
         "packed_scope": collapse.packed.scope,
-        "scope": collapse.query.formula.scope,
-        "size": collapse.query.formula.size(),
         "digest": _digest("combine", *payload),
     }
     return _emit_formula(args, collapse.query.formula, audit)
@@ -311,9 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _handle(args) -> RunReport:
-    """The command's report. A command that meets the recursion limit (the
-    formula walks recurse) runs once more in one worker thread whose 256 MB
-    stack holds a limit of 200000; commands write only once they are done."""
+    """The command's report. A command that meets the recursion limit
+    (``Node.restrict`` and ``Node.eval_mask`` recurse) runs once more in one
+    worker thread whose 256 MB stack holds a limit of 200000; commands write
+    only once they are done."""
     try:
         return args.handler(args)
     except RecursionError:

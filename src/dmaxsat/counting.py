@@ -21,11 +21,13 @@ not recurse. Node hashes ignore shifts (see :mod:`dmaxsat.formula`), so a
 search can read a finished independent sub-search that it meets again at
 another offset, as the mirror of :func:`dmaxsat.gadgets.psi_gadget`
 repeats its operand: the component cache of sharpSAT (Thurley, SAT 2006),
-modulo a shift. The tree walks it calls still recurse:
-:meth:`Node.restrict` down to the variable it sets, and ``Node.__eq__``
-through equal but distinct conjuncts when a memo lookup compares them. A
-deep tree is safe when the search sets only variables near its top, as it
-does on a comparator chain, and may meet the recursion limit otherwise.
+modulo a shift. Memo lookups compare residues with ``Node.__eq__``, one
+walk on an explicit stack. Only :meth:`Node.restrict` and
+:meth:`Node.eval_mask` recurse, and the search calls ``restrict`` down to
+the variable it sets. A deep tree is safe when the search sets only
+variables near its top, as it does on a comparator chain, and may meet the
+recursion limit otherwise, as when the solver sets a chooser at the bottom
+of a deep ``not`` nest.
 :func:`threshold_check` runs the search capped at the bound, and the
 chooser solver with its chooser block 1..k maximized instead of summed.
 Inside that block the search still forces literals, and caps hold there
@@ -40,7 +42,7 @@ from bisect import bisect_right, insort
 from operator import attrgetter
 from typing import Generator, Sequence
 
-from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var
+from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var, shifted
 
 DEFAULT_LIMIT = 24
 
@@ -211,31 +213,6 @@ def _decision(residue: Residue, v: int) -> int:
     return v
 
 
-def _shifted(a: Residue, b: Residue) -> bool:
-    # whether b is a of the same length with every variable index moved by
-    # one offset: one walk over both on an explicit stack. Equal hashes and
-    # types at every pair are a quick test; the leaves decide, a Var by its
-    # moved index and a constant by its hash
-    offset = b[0].min_var - a[0].min_var
-    stack = list(zip(a, b))
-    while stack:
-        x, y = stack.pop()
-        if x is y and not offset:
-            continue
-        kind = type(x)
-        if (
-            type(y) is not kind
-            or y.hash_ != x.hash_
-            or x.min_var and y.min_var - x.min_var != offset
-        ):
-            return False
-        if kind is Not:
-            stack.append((x.child, y.child))
-        elif kind is And or kind is Or:
-            stack += ((x.left, y.left), (x.right, y.right))
-    return True
-
-
 def count_residue(
     residue: Residue | None,
     lo: int,
@@ -264,7 +241,8 @@ def count_residue(
     residue's length, its width ``max_var - min_var`` and its hash, which
     ignores shifts, and holds one residue with its exact count over
     ``min_var..max_var``. A part whose key matches is checked against that
-    residue, moved by one offset, in one walk on an explicit stack; when it
+    residue, moved by one offset, conjunct by conjunct with
+    :func:`dmaxsat.formula.shifted`, the walk of ``Node.__eq__``; when it
     matches, the count is scaled to the part's place and no search runs, so
     ``memo`` gets no entry for the part.
     """
@@ -282,8 +260,10 @@ def count_residue(
         low, top = part[0].min_var, max(map(_MAX, part))
         key = len(part), top - low, hash(part)
         seen = apart.get(key)
-        if seen is not None and _shifted(seen[0], part):
-            return seen[1] << (scope - top)
+        if seen is not None:
+            offset = low - seen[0][0].min_var
+            if all(shifted(x, y, offset) for x, y in zip(seen[0], part)):
+                return seen[1] << (scope - top)
         value = yield part, low, cap, fresh, reach
         if cap is None or value < cap:
             apart[key] = part, value >> (scope - top)

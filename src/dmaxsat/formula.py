@@ -13,6 +13,9 @@ Hashes ignore where a tree sits: a tree and its copy moved by
 :meth:`Formula.shift` hash alike, while equality still tells them apart.
 The counter uses this to find a finished sub-search again at another
 offset, as in the mirror that :func:`dmaxsat.gadgets.psi_gadget` builds.
+Equality and that copy's check are one walk, :func:`shifted`, on an
+explicit stack, so trees of any depth compare; only :meth:`Node.restrict`
+and :meth:`Node.eval_mask` recurse.
 
 Size means the number of Boolean operators (not/and/or nodes); variables and
 constants are free. Gadget constructors build fixed right-folded shapes and
@@ -33,6 +36,7 @@ Trees are rewritten in exactly two ways:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Iterable, Mapping, Sequence
 
 
@@ -51,8 +55,8 @@ class Node:
     type, and for ``And`` and ``Or`` the children's hashes and the gap
     between their lowest variables. No hash holds a variable index, so
     shifting every index by one offset keeps every hash. Equality stays
-    absolute: ``Var`` compares indices, and the other nodes compare
-    ``min_var`` before their children.
+    absolute: it compares type, hash and ``min_var``, and then an operator
+    by :func:`shifted` at offset 0.
     """
 
     __slots__ = ("hash_", "ops", "min_var", "max_var")
@@ -64,6 +68,16 @@ class Node:
 
     def __hash__(self) -> int:
         return self.hash_
+
+    def __eq__(self, other: object) -> bool:
+        # an equal min_var fixes a Var and an equal hash a constant, so only
+        # operators need the walk
+        return self is other or (
+            type(other) is type(self)
+            and other.hash_ == self.hash_
+            and other.min_var == self.min_var
+            and (not self.ops or shifted(self, other, 0))
+        )
 
     def eval_mask(self, mask: int) -> bool:
         """Truth value under the assignment whose bit i-1 is variable i."""
@@ -90,11 +104,6 @@ class _Const(Node):
 
     def __repr__(self) -> str:
         return "TRUE" if self.value else "FALSE"
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is _Const and other.value == self.value)
-
-    __hash__ = Node.__hash__
 
     def eval_mask(self, mask: int) -> bool:
         return self.value
@@ -124,11 +133,6 @@ class Var(Node):
     def __repr__(self) -> str:
         return f"x{self.index}"
 
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Var and other.index == self.index)
-
-    __hash__ = Node.__hash__
-
     def eval_mask(self, mask: int) -> bool:
         return bool((mask >> (self.index - 1)) & 1)
 
@@ -153,18 +157,6 @@ class Not(Node):
     def __repr__(self) -> str:
         return f"Not({self.child!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Not
-            and other.hash_ == self.hash_
-            and other.min_var == self.min_var
-            and other.child == self.child
-        )
-
-    __hash__ = Node.__hash__
-
     def eval_mask(self, mask: int) -> bool:
         return not self.child.eval_mask(mask)
 
@@ -181,8 +173,8 @@ class Not(Node):
         return Not(child)
 
 
-class And(Node):
-    """Binary conjunction."""
+class _Binary(Node):
+    """A binary operator; ``tag`` tells ``And`` from ``Or`` in the hash."""
 
     __slots__ = ("left", "right")
 
@@ -198,23 +190,22 @@ class And(Node):
         else:
             self.min_var, gap = low or high, 0
         self.max_var = left.max_var if left.max_var > right.max_var else right.max_var
-        self.hash_ = hash((3, left.hash_, right.hash_, gap))
+        self.hash_ = hash((self.tag, left.hash_, right.hash_, gap))
 
     def __repr__(self) -> str:
-        return f"And({self.left!r}, {self.right!r})"
+        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is And
-            and other.hash_ == self.hash_
-            and other.min_var == self.min_var
-            and other.left == self.left
-            and other.right == self.right
-        )
+    def __init_subclass__(cls) -> None:
+        # a copy of __init__'s code per subclass: CPython caches attribute
+        # access per code object and type, which And and Or would thrash
+        cls.__init__ = FunctionType(_Binary.__init__.__code__.replace(), globals())
 
-    __hash__ = Node.__hash__
+
+class And(_Binary):
+    """Binary conjunction."""
+
+    __slots__ = ()
+    tag = 3
 
     def eval_mask(self, mask: int) -> bool:
         return self.left.eval_mask(mask) and self.right.eval_mask(mask)
@@ -237,40 +228,11 @@ class And(Node):
         return And(left, right)
 
 
-class Or(Node):
+class Or(_Binary):
     """Binary disjunction."""
 
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Node, right: Node):
-        self.left = left
-        self.right = right
-        self.ops = left.ops + right.ops + 1
-        # min_var 0 means "no variables"; the hash holds the gap between the
-        # children's lowest variables, and 0 in its place beside a constant
-        low, high = left.min_var, right.min_var
-        if low and high:
-            self.min_var, gap = (low if low < high else high), high - low
-        else:
-            self.min_var, gap = low or high, 0
-        self.max_var = left.max_var if left.max_var > right.max_var else right.max_var
-        self.hash_ = hash((4, left.hash_, right.hash_, gap))
-
-    def __repr__(self) -> str:
-        return f"Or({self.left!r}, {self.right!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            type(other) is Or
-            and other.hash_ == self.hash_
-            and other.min_var == self.min_var
-            and other.left == self.left
-            and other.right == self.right
-        )
-
-    __hash__ = Node.__hash__
+    __slots__ = ()
+    tag = 4
 
     def eval_mask(self, mask: int) -> bool:
         return self.left.eval_mask(mask) or self.right.eval_mask(mask)
@@ -291,6 +253,40 @@ class Or(Node):
         if left is self.left and right is self.right:
             return self
         return Or(left, right)
+
+
+def shifted(a: Node, b: Node, offset: int) -> bool:
+    """Whether ``b`` is ``a`` with every variable index moved by ``offset``.
+
+    With ``offset`` 0 this is equality. One walk over both trees on an
+    explicit stack, so any depth is safe. Equal types and hashes at every
+    pair are a quick test; the leaves decide, a ``Var`` by its moved index
+    and a constant by its hash. At offset 0 a subtree that both share is
+    equal without a walk.
+    """
+    # the walk goes down left children and stacks right pairs not shared
+    stack: list[tuple[Node, Node]] = []
+    x, y = a, b
+    while True:
+        if x is not y or offset:
+            kind = type(x)
+            if (
+                type(y) is not kind
+                or y.hash_ != x.hash_
+                or x.min_var and y.min_var - x.min_var != offset
+            ):
+                return False
+            if kind is Not:
+                x, y = x.child, y.child
+                continue
+            if kind is And or kind is Or:
+                if x.right is not y.right or offset:
+                    stack.append((x.right, y.right))
+                x, y = x.left, y.left
+                continue
+        if not stack:
+            return True
+        x, y = stack.pop()
 
 
 def and_all(nodes: Iterable[Node]) -> Node:

@@ -12,12 +12,15 @@ import pytest
 from dmaxsat import (
     And,
     Formula,
+    Not,
     Or,
+    SplitInstance,
     Var,
     count_bruteforce,
     count_fast,
     k_value,
     less_than_const,
+    max_count,
     or_all,
     parse_circuit,
     print_circuit,
@@ -130,12 +133,17 @@ def test_deep_conjunct_is_counted(run, tmp_path):
 
 
 def test_deep_shapes_that_still_need_the_retry(run, tmp_path):
-    # the disjunction of pairs x(2i-1) and x(2i), i = m..1, holds its lowest
-    # pair innermost: Node.restrict walks the whole chain to set x1, so the
-    # fast engine meets a recursion limit of 1000 in-process, and only the
-    # CLI's retry in its worker thread counts it. A descending clause and an
-    # alternating chain with x1 innermost are split at their top literals
-    # and no longer need the retry
+    # Node.restrict recurses down to the variable it sets: max_count sets
+    # the chooser x1 at the bottom of a 3000-deep negation nest, so it meets
+    # a recursion limit of 1000 in-process, and only the CLI's retry in its
+    # worker thread answers. The disjunction of pairs x(2i-1) and x(2i),
+    # i = m..1, a descending clause and an alternating chain with x1
+    # innermost are counted in-process: their memo lookups compare deep
+    # conjuncts by one walk on an explicit stack
+    nest = Or(Var(1), Var(2))
+    for _ in range(3000):
+        nest = Not(nest)
+    nest = Formula(nest, 2)
     m = 600
     pairs = Formula(or_all([And(Var(2 * i - 1), Var(2 * i)) for i in range(m, 0, -1)]), 2 * m)
     clause = Formula(or_all([Var(i) for i in range(1200, 0, -1)]), 1200)
@@ -147,15 +155,16 @@ def test_deep_shapes_that_still_need_the_retry(run, tmp_path):
     sys.setrecursionlimit(1000)
     try:
         with pytest.raises(RecursionError):
-            count_fast(pairs)
+            max_count(SplitInstance(nest, (1,), (2,), None))
+        assert count_fast(pairs) == 4**m - 3**m
         assert count_fast(clause) == 2**1200 - 1
         assert not threshold_check(clause, 2**1200)
         assert count_fast(Formula(chain, 1200)) == models
     finally:
         sys.setrecursionlimit(limit)
-    path = tmp_path / "pairs.ckt"
-    path.write_text(print_circuit(pairs) + "\n")
-    assert run("count", str(path)) == (0, f"{4**m - 3**m}\n", "")
+    path = tmp_path / "nest.ckt"
+    path.write_text(print_circuit(nest) + "\n")
+    assert run("maxcount", str(path), "x: 1") == (0, "x1=1 count=2\n", "")
 
 
 def test_counts_of_any_length_print(run, tmp_path):

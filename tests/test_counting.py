@@ -36,7 +36,8 @@ from dmaxsat import (
 )
 
 import dmaxsat.counting
-from dmaxsat.counting import _decision, _shifted, count_residue, residue_of
+from dmaxsat.counting import _decision, count_residue, residue_of
+from dmaxsat.formula import shifted
 
 from strategies import (
     cnf_formulas,
@@ -330,7 +331,7 @@ def test_only_a_shifted_copy_is_read_from_the_table(name, forged):
     # shifted; near misses are searched, and every count stays exact
     build, copy = NEAR_MISSES[name]
     g = _forge(build(), SHIFTED) if forged else build()
-    assert _shifted((SHIFTED,), (g,)) == copy
+    assert shifted(SHIFTED, g, 3) == copy
     node = And(SHIFTED, Not(g))
     memo = _searched(node, 7)
     assert residue_of(SHIFTED) in memo

@@ -21,11 +21,13 @@ from dmaxsat import (
     and_all,
     less_than_const,
     or_all,
+    parse_circuit,
+    print_circuit,
 )
 import dmaxsat
-from dmaxsat.formula import _Const
+from dmaxsat.formula import _Const, shifted
 
-from strategies import formulas
+from strategies import deep_formulas, formulas
 
 
 def test_evaluate_truth_table_basics():
@@ -151,6 +153,83 @@ def test_equality_stays_absolute_across_equal_hashes():
     assert hash(And(x1, x2)) != hash(And(x1, x3))
     assert hash(And(x1, TRUE)) == hash(And(x2, TRUE))
     assert And(x1, TRUE) != And(x2, TRUE)
+    # a hash collision at equal min_var: only the walk tells them apart
+    a, b = Or(x1, Not(x2)), Or(x1, Not(x3))
+    b.hash_ = a.hash_
+    assert a != b and not a == b
+
+
+def _text(node, scope):
+    return print_circuit(Formula(node, scope))
+
+
+@given(
+    formulas(max_scope=6) | deep_formulas(max_scope=6, max_depth=60),
+    formulas(max_scope=6) | deep_formulas(max_scope=6, max_depth=60),
+    st.booleans(),
+)
+def test_equality_is_equal_circuit_text(f, g, copy):
+    # b is either drawn on its own or a fresh parse of a's text; a and b are
+    # equal exactly when they print alike
+    a = f.node
+    b = parse_circuit(print_circuit(f)).node if copy else g.node
+    scope = max(f.scope, g.scope)
+    assert (a == b) == (_text(a, scope) == _text(b, scope))
+    assert (a != b) == (not a == b)
+    if copy:
+        assert a == b and hash(a) == hash(b)
+
+
+def _replaced(node, path, leaf):
+    # node with the leaf at path (child attribute names from the top) replaced
+    if not path:
+        return leaf
+    if path[0] == "child":
+        return Not(_replaced(node.child, path[1:], leaf))
+    left, right = node.left, node.right
+    if path[0] == "left":
+        left = _replaced(left, path[1:], leaf)
+    else:
+        right = _replaced(right, path[1:], leaf)
+    return type(node)(left, right)
+
+
+@given(
+    formulas(min_scope=1, max_scope=6) | deep_formulas(max_scope=6, max_depth=60),
+    st.integers(0, 5),
+    st.data(),
+)
+def test_shifted_confirms_a_shift_and_refuses_a_near_miss(f, offset, data):
+    g = f.shift(offset).node
+    assert shifted(f.node, g, offset)
+    if f.node.min_var:
+        assert not shifted(f.node, g, offset + 1)
+    leaves, stack = [], [(g, ())]
+    while stack:
+        node, path = stack.pop()
+        if type(node) is Not:
+            stack.append((node.child, path + ("child",)))
+        elif type(node) in (And, Or):
+            stack += ((node.left, path + ("left",)), (node.right, path + ("right",)))
+        else:
+            leaves.append((node, path))
+    leaf, path = data.draw(st.sampled_from(leaves))
+    if type(leaf) is Var:
+        # one gap, one literal, one constant
+        misses = [Var(leaf.index + 1), Not(leaf), TRUE]
+    else:
+        misses = [Var(1), FALSE if leaf is TRUE else TRUE]
+    for miss in misses:
+        assert not shifted(f.node, _replaced(g, path, miss), offset)
+
+
+def test_deep_trees_compare_by_one_walk():
+    # two distinct equal 100,000-deep nests, at the default recursion limit
+    a, b = Or(Var(1), Var(2)), Or(Var(1), Var(2))
+    for _ in range(100_000):
+        a, b = Not(a), Not(b)
+    assert a is not b and a == b and not a != b
+    assert shifted(a, Formula(b, 2).shift(3).node, 3)
 
 
 def test_fold_helpers():
