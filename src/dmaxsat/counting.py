@@ -34,6 +34,14 @@ Inside that block the search still forces literals, and caps hold there
 too, so a bounded chooser search stops once a choice reaches its bound;
 components, complements and the other splits wait until the chooser block
 is set.
+
+:func:`count_fast` and :func:`threshold_check` keep their memo between
+calls in one module-level slot with the last formula's scope and root
+residue, the persistent component cache of sharpSAT held for one root at a
+time. A call whose formula has an equal scope and a root residue equal
+under ``==`` (so an equal but distinct parse too) searches on that memo; any
+other call replaces the slot, freeing the old memo. Its entries are exact
+counts, so a threshold after a count on an equal formula is one lookup.
 """
 
 from __future__ import annotations
@@ -392,25 +400,51 @@ def count_residue(
             return value
 
 
+# The last formula counted, as (scope, residue, memo): its root residue and
+# the memo of every count_fast and threshold_check on it. Replacing it frees
+# the memo.
+_last: tuple[int, Residue | None, dict[Residue, int]] = (-1, None, {})
+
+
+def _count(f: Formula, cap: int | None) -> int:
+    # count_residue from f's root on the slot's memo. A hit searches from
+    # the held residue, so the root's lookup matches by identity; a miss
+    # replaces the slot first, freeing the old memo before the new one grows
+    global _last
+    residue = residue_of(f.node)
+    scope, held, memo = _last
+    if scope == f.scope and held == residue:
+        residue = held
+    else:
+        memo = {}
+        _last = (f.scope, residue, memo)
+    return count_residue(residue, 1, f.scope, memo, cap)
+
+
 def count_fast(f: Formula) -> int:
     """Model count by the search of :func:`count_residue`, uncapped.
 
     Agrees with :func:`count_bruteforce` on every input. Its steps (forced
     runs of literals, interval components, complements, top-literal and
-    selector splits) apply in a fixed order, so traces are reproducible;
-    the memo table lives only for this invocation.
+    selector splits) apply in a fixed order, so traces are reproducible.
+    The memo outlives the call in the module's slot: the next
+    :func:`count_fast` or :func:`threshold_check` on an equal formula, an
+    equal but distinct parse too, reuses it, and one on any other formula
+    replaces it.
     """
-    return count_residue(residue_of(f.node), 1, f.scope, {}, None)
+    return _count(f, None)
 
 
 def threshold_check(f: Formula, bound: int) -> bool:
     """Decide count(f) >= bound, stopping once the answer is forced.
 
-    Runs the search of :func:`count_fast` capped at the bound: a branch
-    that reaches its share of the bound ends its parent, a product caps its
-    second factor at the bound divided by the first, and a complement
-    counts exactly. Only exact residue counts enter the memo table.
+    Runs the search of :func:`count_fast`, on the same slot's memo, capped
+    at the bound: a branch that reaches its share of the bound ends its
+    parent, a product caps its second factor at the bound divided by the
+    first, and a complement counts exactly. Only exact residue counts enter
+    the memo, so after :func:`count_fast` on an equal formula the root is a
+    memo hit and no search runs.
     """
     if bound <= 0:
         return True
-    return count_residue(residue_of(f.node), 1, f.scope, {}, bound) >= bound
+    return _count(f, bound) >= bound

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .counting import count_bruteforce, count_fast
+from .counting import count_bruteforce, count_fast, threshold_check
 from .formats import parse_circuit, print_circuit
 from .formula import And, Formula, Not, Or
 from .gadgets import k_value, less_than_const, pack_many, pack_pair, psi_gadget, unpack_digits
@@ -360,10 +360,13 @@ def solver_law(rng: random.Random, cases: int) -> Iterator[str | None]:
 
 @_suite("counter")
 def counter_law(rng: random.Random, cases: int) -> Iterator[str | None]:
-    """count_fast agrees with count_bruteforce on random formulas.
+    """count_fast and threshold_check match count_bruteforce on random formulas.
 
     Every second case is CNF-shaped, so the counter's flattening of nested
     conjunctions meets both fold directions, empty and repeated clauses.
+    Each formula is decided at one above its count, then at its count, and
+    counted last: capped searches run on an empty memo and on a partly
+    filled one, and the count reads what they left.
     """
     for i in range(cases):
         scope = rng.randint(0, _ramp(i, cases, 1, 10))
@@ -373,9 +376,12 @@ def counter_law(rng: random.Random, cases: int) -> Iterator[str | None]:
             f = random_formula(rng, scope, 2 * scope + 4)
 
         def report(ff: Formula) -> str | None:
-            fast, brute = count_fast(ff), count_bruteforce(ff)
-            return None if fast == brute else (
-                f"  f = {print_circuit(ff)}\n  count_bruteforce {brute}, count_fast {fast}"
+            brute = count_bruteforce(ff)
+            above, at = threshold_check(ff, brute + 1), threshold_check(ff, brute)
+            fast = count_fast(ff)
+            return None if fast == brute and at and not above else (
+                f"  f = {print_circuit(ff)}\n  count_bruteforce {brute}, count_fast {fast}, "
+                f"threshold_check at it {at}, one above {above}"
             )
 
         yield report(f) and report(shrink_formula(f, report))

@@ -25,7 +25,9 @@ maximum when maximizing) and takes True otherwise. :func:`dmax_decide` is
 the unpruned reference: it enumerates the chooser block and counts each
 assignment on its own with :func:`count_given_x`, which restricts the
 chooser variables one at a time (:meth:`dmaxsat.formula.Node.restrict`)
-and counts what is left.
+and counts what is left on a fresh memo, so the reference reuses nothing
+between calls: neither this module's slot nor the one of
+:func:`dmaxsat.counting.count_fast`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .counting import (
     DEFAULT_LIMIT,
     Residue,
     ScopeLimitError,
-    count_fast,
+    count_fast,  # noqa: F401  unused here; bench/spans.py wraps solver.count_fast
     count_residue,
     residue_of,
     restrict_residue,
@@ -118,7 +120,7 @@ def parse_blocks(declaration: str, scope: int) -> tuple[tuple[int, ...], tuple[i
 
 
 def count_given_x(instance: SplitInstance, x_assignment: Sequence[bool]) -> int:
-    """Models over the y block once the chooser block is pinned."""
+    """Models over the y block once the chooser block is pinned, on a fresh memo."""
     if len(x_assignment) != len(instance.x_vars):
         raise ValueError(
             f"assignment covers {len(x_assignment)} of "
@@ -129,7 +131,8 @@ def count_given_x(instance: SplitInstance, x_assignment: Sequence[bool]) -> int:
         node = node.restrict(v, value)
     # the restricted tree no longer mentions the chooser variables, so the
     # full-scope count overshoots by exactly 2**len(x_assignment)
-    return count_fast(Formula(node, instance.formula.scope)) >> len(x_assignment)
+    count = count_residue(residue_of(node), 1, instance.formula.scope, {}, None)
+    return count >> len(x_assignment)
 
 
 def _lex_assignments(k: int) -> Iterator[tuple[bool, ...]]:

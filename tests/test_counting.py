@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import random
 import sys
+import weakref
 from functools import reduce
 from pathlib import Path
 
@@ -30,7 +31,9 @@ from dmaxsat import (
     less_than_const,
     max_count,
     pack_many,
+    parse_circuit,
     parse_dimacs,
+    print_circuit,
     psi_gadget,
     threshold_check,
 )
@@ -113,6 +116,13 @@ def test_de_morgan_counts(f, g):
     assert count_fast(lhs) == count_fast(rhs)
 
 
+def _cold(f, bound):
+    # threshold_check's capped search on a fresh memo: after count_fast on
+    # the same formula, threshold_check reads the root from the kept memo
+    # and runs no capped search
+    return bound <= 0 or count_residue(residue_of(f.node), 1, f.scope, {}, bound) >= bound
+
+
 def test_threshold_basics():
     f = Formula(Or(Var(1), Var(2)), 2)
     assert threshold_check(f, 3) is True
@@ -158,7 +168,7 @@ def test_edge_shapes_match_bruteforce(f):
     count = count_bruteforce(f)
     assert count_fast(f) == count
     for bound in (0, 1, count, count + 1, (1 << f.scope) + 1):
-        assert threshold_check(f, bound) == (count >= bound)
+        assert threshold_check(f, bound) == _cold(f, bound) == (count >= bound)
 
 
 @given(cnf_formulas(), st.data())
@@ -167,7 +177,7 @@ def test_cnf_counts_and_thresholds_match_bruteforce(f, data):
     assert count_fast(f) == count
     drawn = data.draw(st.integers(0, (1 << f.scope) + 1))
     for bound in (1, count, count + 1, drawn):
-        assert threshold_check(f, bound) == (count >= bound)
+        assert threshold_check(f, bound) == _cold(f, bound) == (count >= bound)
 
 
 def test_searches_leave_no_reference_cycles():
@@ -180,8 +190,8 @@ def test_searches_leave_no_reference_cycles():
     gc.disable()
     try:
         assert count_fast(f) == count
-        assert threshold_check(f, count)
-        assert not threshold_check(f, count + 1)
+        assert threshold_check(f, count) and _cold(f, count)
+        assert not threshold_check(f, count + 1) and not _cold(f, count + 1)
         best = max_count(instance)
         assert dmax_pruned(dataclasses.replace(instance, bound=best.achieved)) == best
         assert gc.collect() == 0
@@ -196,7 +206,7 @@ def test_gadget_counts_and_thresholds_match_bruteforce(f, data):
     assert count_fast(f) == count
     drawn = data.draw(st.integers(0, (1 << f.scope) + 1))
     for bound in (0, 1, count, count + 1, drawn):
-        assert threshold_check(f, bound) == (count >= bound)
+        assert threshold_check(f, bound) == _cold(f, bound) == (count >= bound)
 
 
 @settings(max_examples=40)
@@ -218,7 +228,7 @@ def test_comparator_counts_and_thresholds_match_bruteforce(f, data):
     assert count_fast(f) == count
     drawn = data.draw(st.integers(0, (1 << f.scope) + 1))
     for bound in (1, count, count + 1, drawn):
-        assert threshold_check(f, bound) == (count >= bound)
+        assert threshold_check(f, bound) == _cold(f, bound) == (count >= bound)
 
 
 @given(comparators(), st.data())
@@ -228,8 +238,8 @@ def test_psi_of_a_comparator_counts_its_parabola(comparator, data):
     f = psi_gadget(less_than_const(n, c), delta)
     value = k_value(n, delta, c)
     assert count_fast(f) == value
-    assert threshold_check(f, value)
-    assert not threshold_check(f, value + 1)
+    assert threshold_check(f, value) and _cold(f, value)
+    assert not threshold_check(f, value + 1) and not _cold(f, value + 1)
 
 
 def _searched(node, scope):
@@ -383,8 +393,8 @@ def test_shifted_copies_count_and_threshold_match_bruteforce(f, data):
     for g in shapes:
         count = count_bruteforce(g)
         assert count_fast(g) == count
-        assert threshold_check(g, count)
-        assert not threshold_check(g, count + 1)
+        assert threshold_check(g, count) and _cold(g, count)
+        assert not threshold_check(g, count + 1) and not _cold(g, count + 1)
 
 
 def test_caps_still_cut_the_search():
@@ -467,7 +477,8 @@ def test_deep_input_is_counted_without_recursion():
     try:
         for f, count in ((chain, n + 1), (Formula(nest, 1), 1)):
             assert count_fast(f) == count
-            assert not threshold_check(f, count + 1)
+            assert not threshold_check(f, count + 1) and not _cold(f, count + 1)
+            assert _cold(f, count)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -484,9 +495,9 @@ def test_deep_comparator_is_counted_without_recursion():
     try:
         for f, count in comparators:
             assert count_fast(f) == count
-            assert threshold_check(f, count)
-            assert not threshold_check(f, count + 1)
-        assert threshold_check(psi, 1)
+            assert threshold_check(f, count) and _cold(f, count)
+            assert not threshold_check(f, count + 1) and not _cold(f, count + 1)
+        assert threshold_check(psi, 1) and _cold(psi, 1)
     finally:
         sys.setrecursionlimit(limit)
 
@@ -498,5 +509,127 @@ def test_deep_formulas_count_and_threshold_match_bruteforce(f):
     # runs of splits, and one complement per Not
     count = count_bruteforce(f)
     assert count_fast(f) == count
-    assert threshold_check(f, count)
-    assert not threshold_check(f, count + 1)
+    assert threshold_check(f, count) and _cold(f, count)
+    assert not threshold_check(f, count + 1) and not _cold(f, count + 1)
+
+
+@settings(max_examples=80)
+@given(st.lists(formulas(max_scope=5), min_size=1, max_size=3), st.data())
+def test_kept_memo_answers_every_sequence_exactly(fs, data):
+    # count_fast and threshold_check in a drawn order over a few formulas,
+    # their equal parses, the same node under one more scope variable and a
+    # shifted copy: every answer is exact, whatever memo the slot holds
+    shapes = []
+    for f in fs:
+        d = data.draw(st.integers(1, 3))
+        for g in (f, parse_circuit(print_circuit(f)), Formula(f.node, f.scope + 1), f.shift(d)):
+            shapes.append((g, count_bruteforce(g)))
+    for _ in range(data.draw(st.integers(1, 12))):
+        g, count = data.draw(st.sampled_from(shapes))
+        top = (1 << g.scope) + 1
+        bound = data.draw(st.one_of(st.none(), st.sampled_from([count, count + 1]), st.integers(0, top)))
+        if bound is None:
+            assert count_fast(g) == count
+        else:
+            assert threshold_check(g, bound) == (count >= bound)
+
+
+def test_threshold_after_a_count_reads_the_root(monkeypatch):
+    # thresholds on an equal, separately parsed copy of the formula last
+    # counted are answered by the kept memo's root entry: no restriction
+    cnf = random_3cnf(random.Random(1), 12, 3.0)
+    f = parse_dimacs(cnf.text())
+    count = count_fast(f)
+    assert count > 0
+    calls = []
+    real = dmaxsat.counting.restrict_residue
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dmaxsat.counting, "restrict_residue", counted)
+    copy = parse_dimacs(cnf.text())
+    assert copy.node is not f.node
+    assert threshold_check(copy, count)
+    assert not threshold_check(copy, count + 1)
+    assert calls == []
+    # the same node under one more scope variable is another formula
+    assert threshold_check(Formula(copy.node, 13), 2 * count)
+    assert calls
+
+
+def test_one_counted_memo_is_kept():
+    # (x1 and x2) or not x3 has 5 models
+    first = Formula(Or(And(Var(1), Var(2)), Not(Var(3))), 3)
+    node = first.node
+    refs = sys.getrefcount(node)
+    assert count_fast(first) == 5
+    assert sys.getrefcount(node) > refs  # held while it is the last formula
+    assert threshold_check(first, 5)
+    assert not threshold_check(first, 6)
+    assert count_fast(Formula(Or(X1, X2), 2)) == 3
+    assert sys.getrefcount(node) == refs
+    formula = weakref.ref(first)
+    del first
+    gc.collect()
+    assert formula() is None
+
+
+def _assert_exact(scope, memo):
+    # every entry is the exact count of its residue over min_var..scope
+    for residue, value in memo.items():
+        whole = count_bruteforce(Formula(and_all(list(residue)), scope))
+        assert value == whole >> (residue[0].min_var - 1)
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stop, capped", [(0, False), (3, True), (10, False), (30, True)])
+def test_interrupted_search_leaves_an_exact_memo(monkeypatch, stop, capped):
+    # a search stopped by an exception keeps the slot it filled: a count
+    # and thresholds on an equal copy then reuse its memo, exactly
+    cnf = random_3cnf(random.Random(2), 8, 3.0)
+    f = parse_dimacs(cnf.text())
+    count = count_bruteforce(f)
+    assert count_fast(Formula(TRUE, 0)) == 1
+    calls = []
+    real = dmaxsat.counting.restrict_residue
+
+    def failing(*args):
+        if len(calls) == stop:
+            raise _Stop
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dmaxsat.counting, "restrict_residue", failing)
+    with pytest.raises(_Stop):
+        if capped:
+            threshold_check(f, count + 1)
+        else:
+            count_fast(f)
+    monkeypatch.undo()
+    scope, held, memo = dmaxsat.counting._last
+    assert (scope, held) == (8, residue_of(f.node))
+    _assert_exact(scope, memo)
+    copy = parse_dimacs(cnf.text())
+    assert threshold_check(copy, count)
+    assert not threshold_check(copy, count + 1)
+    assert count_fast(copy) == count
+    assert dmaxsat.counting._last[2] is memo
+
+
+def test_capped_calls_keep_only_exact_entries():
+    # a k = 0 memo never holds the negative lower bounds of the chooser
+    # search: thresholds below, at and above the count store exact values
+    cnf = random_3cnf(random.Random(3), 8, 3.0)
+    f = parse_dimacs(cnf.text())
+    count = count_bruteforce(f)
+    for bound in (1, count // 2, count + 1, count, 1 << 7):
+        assert threshold_check(f, bound) == (count >= bound)
+    scope, _, memo = dmaxsat.counting._last
+    assert memo
+    assert min(memo.values()) >= 0
+    _assert_exact(scope, memo)

@@ -30,6 +30,7 @@ from dmaxsat import (
     parse_dimacs,
     print_circuit,
 )
+import dmaxsat.counting
 from dmaxsat.counting import count_residue, residue_of
 from dmaxsat.generate import random_split_instance
 from dmaxsat.selftest import solver_law
@@ -56,6 +57,16 @@ def test_count_given_x_examples():
 
     dead = SplitInstance(Formula(FALSE, 2), (1,), (2,))
     assert count_given_x(dead, (True,)) == 0
+
+
+def test_reference_engine_leaves_the_counting_slot_alone():
+    # dmax_decide counts each chooser on a fresh memo, so it neither reads
+    # nor replaces the memo that count_fast keeps
+    held = dmaxsat.counting._last
+    inst = SplitInstance(MIXED, (1,), (2, 3), bound=2)
+    assert dmax_decide(inst) == Witness((True,), 2)
+    assert count_given_x(inst, (False,)) == 1
+    assert dmaxsat.counting._last is held
 
 
 def test_count_given_x_rejects_wrong_arity():
