@@ -11,16 +11,18 @@ selftest, 2 bad input, 3 enumeration limit exceeded, 4 internal failure
 (any other exception, for example the recursion limit on input deeper
 than that), reported as one ``error: internal failure: ...`` line on
 stderr instead of a traceback.
+
+Each command imports only the modules it runs: the top of this module
+loads the parser, the formats and the counter, and a handler imports the
+gadgets, reduction, solver, self-test, ``json`` or ``hashlib`` it needs.
+So ``count`` and ``size`` start without them, which is most of the run
+time of a process that asks one question.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
-import threading
-from dataclasses import dataclass, field
 
 from .counting import (
     DEFAULT_LIMIT,
@@ -30,21 +32,21 @@ from .counting import (
     threshold_check,
 )
 from .formats import print_circuit, read_formula
-from .gadgets import less_than_const, pack_many, psi_gadget
-from .reduction import EqualityQuery, combine_equalities, eq_to_geq, split_target
-from .selftest import run_selftest
-from .solver import SplitInstance, dmax_decide, dmax_pruned, max_count, parse_blocks
 
 
-@dataclass
 class RunReport:
     """One invocation's outcome; ``lines`` is exactly what goes to stdout."""
 
-    lines: list[str] = field(default_factory=list)
-    exit_code: int = 0
+    __slots__ = ("lines", "exit_code")
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.exit_code = 0
 
 
 def _digest(*parts: object) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     for part in parts:
         h.update(part if isinstance(part, bytes) else str(part).encode())
@@ -58,6 +60,8 @@ def _file_bytes(path: str) -> bytes:
 
 
 def _emit_formula(args, formula, audit: dict) -> RunReport:
+    import json
+
     audit.update(cmd=args.command, scope=formula.scope, size=formula.size())
     report = RunReport()
     text = print_circuit(formula)
@@ -98,6 +102,8 @@ def cmd_size(args) -> RunReport:
 
 
 def cmd_pack(args) -> RunReport:
+    from .gadgets import pack_many
+
     operands = [read_formula(p, args.format) for p in args.paths]
     packed = pack_many(operands)
     audit = {
@@ -109,6 +115,8 @@ def cmd_pack(args) -> RunReport:
 
 
 def cmd_mkless(args) -> RunReport:
+    from .gadgets import less_than_const
+
     formula = less_than_const(args.n, args.c)
     audit = {
         "n": args.n,
@@ -119,6 +127,8 @@ def cmd_mkless(args) -> RunReport:
 
 
 def cmd_psi(args) -> RunReport:
+    from .gadgets import psi_gadget
+
     f = read_formula(args.path, args.format)
     gadget = psi_gadget(f, args.delta)
     audit = {
@@ -130,6 +140,8 @@ def cmd_psi(args) -> RunReport:
 
 
 def cmd_eq2geq(args) -> RunReport:
+    from .reduction import eq_to_geq, split_target
+
     h = read_formula(args.path, args.format)
     query = eq_to_geq(h, args.target)
     branch, delta = split_target(h.scope, args.target)
@@ -145,6 +157,8 @@ def cmd_eq2geq(args) -> RunReport:
 
 
 def cmd_combine(args) -> RunReport:
+    from .reduction import EqualityQuery, combine_equalities
+
     queries = []
     payload: list[object] = []
     for entry in args.claims:
@@ -178,13 +192,17 @@ def _witness_text(x_vars, witness) -> str:
     return " ".join(parts)
 
 
-def _split_instance(args, bound: int | None) -> SplitInstance:
+def _split_instance(args, bound: int | None):
+    from .solver import SplitInstance, parse_blocks
+
     f = read_formula(args.path, args.format)
     x_vars, y_vars = parse_blocks(args.blocks, f.scope)
     return SplitInstance(f, x_vars, y_vars, bound)
 
 
 def cmd_dmax(args) -> RunReport:
+    from .solver import dmax_decide, dmax_pruned
+
     report = RunReport()
     instance = _split_instance(args, args.bound)
     engine = dmax_decide if args.engine == "plain" else dmax_pruned
@@ -198,6 +216,8 @@ def cmd_dmax(args) -> RunReport:
 
 
 def cmd_maxcount(args) -> RunReport:
+    from .solver import max_count
+
     report = RunReport()
     instance = _split_instance(args, None)
     witness = max_count(instance, limit=args.limit)
@@ -206,10 +226,23 @@ def cmd_maxcount(args) -> RunReport:
 
 
 def cmd_selftest(args) -> RunReport:
+    from .selftest import run_selftest
+
     report = RunReport()
     ok = run_selftest(args.seed, args.budget, emit=report.lines.append)
     report.exit_code = 0 if ok else 1
     return report
+
+
+def _limit(text: str) -> int:
+    """``--limit``'s type: a nonnegative int, with argparse's message otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -232,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--engine", choices=("brute", "fast"), default="fast")
     p.add_argument("--bound", type=int, default=None, help="print yes/no for count >= BOUND")
-    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="brute-force scope limit")
+    p.add_argument("--limit", type=_limit, default=DEFAULT_LIMIT, help="brute-force scope limit")
     _add_format(p)
     p.set_defaults(handler=cmd_count)
 
@@ -278,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("blocks", help="block declaration, e.g. 'x: 1 3 / y: 2 4'")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--engine", choices=("plain", "pruned"), default="pruned")
-    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    p.add_argument("--limit", type=_limit, default=DEFAULT_LIMIT)
     _add_format(p)
     p.set_defaults(handler=cmd_dmax)
 
     p = sub.add_parser("maxcount", help="find the chooser maximizing the counted block")
     p.add_argument("path")
     p.add_argument("blocks", help="block declaration, e.g. 'x: 1 3 / y: 2 4'")
-    p.add_argument("--limit", type=int, default=DEFAULT_LIMIT)
+    p.add_argument("--limit", type=_limit, default=DEFAULT_LIMIT)
     _add_format(p)
     p.set_defaults(handler=cmd_maxcount)
 
@@ -306,7 +339,9 @@ def _handle(args) -> RunReport:
         return args.handler(args)
     except RecursionError:
         pass  # run again below, once this stack has unwound
-    from concurrent.futures import ThreadPoolExecutor  # only deep input needs it
+    import threading  # only deep input needs these
+    from concurrent.futures import ThreadPoolExecutor
+
     depth, stack = sys.getrecursionlimit(), threading.stack_size(256 << 20)
     try:
         sys.setrecursionlimit(200_000)

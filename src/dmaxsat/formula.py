@@ -35,7 +35,6 @@ Trees are rewritten in exactly two ways:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import FunctionType
 from typing import Iterable, Mapping, Sequence
 
@@ -350,25 +349,51 @@ def renamed(root: Node, index: Mapping[int, int]) -> Node:
     return done[id(root)]
 
 
-@dataclass(frozen=True)
 class Formula:
     """An operator tree together with its declared variable scope.
 
     The scope is explicit rather than inferred from the highest occurring
     variable: counting always ranges over all scope variables, so a scope-3
     formula mentioning only x1 has twice the models of its scope-2 twin.
+
+    Immutable: two formulas are equal when their trees and scopes are, and
+    hash alike then. A plain slotted class rather than a frozen dataclass,
+    so that reading a formula never imports ``dataclasses``.
     """
+
+    __slots__ = ("node", "scope", "__weakref__")
+    __match_args__ = ("node", "scope")
 
     node: Node
     scope: int
 
-    def __post_init__(self) -> None:
-        if self.scope < 0:
-            raise ScopeError(f"scope must be nonnegative, got {self.scope}")
-        if self.node.max_var > self.scope:
-            raise ScopeError(
-                f"variable x{self.node.max_var} exceeds declared scope {self.scope}"
-            )
+    def __init__(self, node: Node, scope: int) -> None:
+        if scope < 0:
+            raise ScopeError(f"scope must be nonnegative, got {scope}")
+        if node.max_var > scope:
+            raise ScopeError(f"variable x{node.max_var} exceeds declared scope {scope}")
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "scope", scope)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.node, self.scope)
+
+    def __repr__(self) -> str:
+        return f"Formula(node={self.node!r}, scope={self.scope!r})"
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.node, self.scope) == (other.node, other.scope)
+
+    def __hash__(self) -> int:
+        return hash((self.node, self.scope))
 
     def size(self) -> int:
         """Number of Boolean operators (not/and/or nodes) in the tree."""

@@ -83,6 +83,29 @@ def test_count_exit_codes(run, files):
     assert code == 2 and "format" in err
 
 
+@pytest.mark.parametrize(
+    "argv,code_at_0",
+    [
+        (("count", "f3.cnf", "--engine", "brute"), 3),
+        (("count", "f3.cnf"), 0),
+        (("dmax", "or2.ckt", "x: 1 / y: 2", "--bound", "1"), 3),
+        (("maxcount", "or2.ckt", "x: 1 / y: 2"), 3),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
+)
+def test_negative_limit_is_bad_input(files, capsys, argv, code_at_0):
+    path, rest = files[argv[1]], argv[2:]
+    with pytest.raises(SystemExit) as exit_info:
+        main([argv[0], path, *rest, "--limit", "-1"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == (
+        f"dmaxsat {argv[0]}: error: argument --limit: must be nonnegative, got -1"
+    )
+    # 0 is a limit: the scope-limited engines refuse any variable
+    assert main([argv[0], path, *rest, "--limit", "0"]) == code_at_0
+
+
 def test_internal_failure_exits_4_without_traceback(run, files, monkeypatch):
     def broken(args):
         raise KeyError("forced failure")

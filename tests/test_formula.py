@@ -1,8 +1,11 @@
 """Formula trees: evaluation, size, shift, scopes, structural equality."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -134,6 +137,37 @@ def test_structural_equality_and_hash():
     assert hash(a) == hash(b)
     assert a != Formula(And(Var(1), Not(Var(2))), 3)
     assert a != Formula(And(Not(Var(2)), Var(1)), 2)
+
+
+def test_formula_contract():
+    node = And(Var(1), Not(Var(2)))
+    f = Formula(node, 3)
+    assert (f.node, f.scope) == (node, 3)
+    assert Formula(scope=3, node=node) == f
+    with pytest.raises(ScopeError, match=r"^scope must be nonnegative, got -1$"):
+        Formula(TRUE, -1)
+    with pytest.raises(ScopeError, match=r"^variable x2 exceeds declared scope 1$"):
+        Formula(node, 1)
+
+    text = "(scope 3) (and x1 (not x2))"
+    same, other = parse_circuit(text), parse_circuit("(scope 3) (and x1 (not x3))")
+    assert same == f and hash(same) == hash(f) and same.node is not node
+    assert other != f and not other == f
+    assert Formula(node, 2) != f
+    assert f != (node, 3) and (node, 3) != f
+    assert repr(f) == "Formula(node=And(x1, Not(x2)), scope=3)"
+
+    for name in ("node", "scope", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert (f.node, f.scope) == (node, 3)
+
+    ref = weakref.ref(f)
+    assert ref() is f
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert type(twin) is Formula and twin == f and hash(twin) == hash(f)
 
 
 @given(formulas(max_scope=6), st.integers(0, 5))

@@ -58,3 +58,33 @@ def test_search_digest_does_not_depend_on_the_hash_seed(monkeypatch):
         outputs.add(proc.stdout)
     (out,) = outputs
     assert re.fullmatch(r"[0-9a-f]{64}\n", out)
+
+
+def test_cli_startup_times_both_sides_and_checks_their_output():
+    src = str(ROOT / "src")
+    proc = _run_script(
+        "cli_startup.py", "--parent", src, "--change", src, "--rounds", "1", "--importtime"
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()
+    commands = ["size", "count", "count --bound", "combine", "maxcount", "dmax"]
+    for command, row in zip(commands, rows[1:7]):
+        assert re.fullmatch(
+            re.escape(command) + r" +(\d+\.\d \[\d+\.\d, \d+\.\d\] +){2}[01]/1", row
+        ), row
+    assert "parent: slowest imports of one count run (self time)" in rows
+    assert "change: slowest imports of one count run (self time)" in rows
+    assert any(row.endswith("  dmaxsat.counting") for row in rows)
+
+
+def test_cli_startup_refuses_sides_that_answer_differently(tmp_path):
+    package = tmp_path / "dmaxsat"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "__main__.py").write_text("print('0')\n")
+    proc = _run_script(
+        "cli_startup.py", "--parent", str(ROOT / "src"), "--change", str(tmp_path),
+        "--rounds", "1",
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: size: parent gave (0, '")
