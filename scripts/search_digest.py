@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 per seed over the counting search's results and memos.
+"""Print two SHA-256 per seed: one over the counting search's results and
+memos, one over the answers of the public engines.
 
 A differential check for changes to :func:`dmaxsat.counting.count_residue`
-that must keep its behaviour: run it against two checkouts' ``src`` (it
-imports ``dmaxsat`` from ``PYTHONPATH``) and compare the lines.
+and to the memo kept between calls: run it against two checkouts' ``src``
+(it imports ``dmaxsat`` from ``PYTHONPATH``) and compare the lines.
 
     PYTHONPATH=src python scripts/search_digest.py --seed 1 --seed 2
 
@@ -16,16 +17,37 @@ best, best + 1 and a drawn cap. Each capped search runs on a fresh memo,
 followed on the memo it left by a greedy descent over the chooser block,
 as the solver makes, and by searches at the cap plus one and uncapped,
 which read its lower bounds; the capped search also runs on the uncapped
-search's memo.
-Every result and the full contents of every memo, sorted by key, enter
-the digest, so the line does not depend on ``PYTHONHASHSEED``.
+search's memo. Every result and the full contents of every memo, sorted
+by key, enter the first digest.
+
+The second digest holds only answers, so it stays comparable when a
+change alters what the memos hold. Over the same corpus, a drawn sequence
+calls :func:`count_fast`, :func:`threshold_check`, :func:`max_count` and
+:func:`dmax_pruned` on the last three formulas, their equal parses, the
+same node under one more scope variable and a copy shifted by one, split
+at one drawn chooser block per formula (moved with the copy) or at the
+empty one. Neither line depends on ``PYTHONHASHSEED``.
 """
 
 import argparse
 import hashlib
 import random
 
-from dmaxsat import And, Formula, Not, less_than_const, pack_many, psi_gadget
+from dmaxsat import (
+    And,
+    Formula,
+    Not,
+    SplitInstance,
+    count_fast,
+    dmax_pruned,
+    less_than_const,
+    max_count,
+    pack_many,
+    parse_circuit,
+    print_circuit,
+    psi_gadget,
+    threshold_check,
+)
 from dmaxsat.counting import count_residue, residue_of, restrict_residue
 from dmaxsat.generate import random_cnf, random_formula
 
@@ -78,15 +100,48 @@ def searches(rng: random.Random, f: Formula, k: int):
         yield count_residue(residue, 1, scope, shared, cap, k), shared
 
 
+def answers(rng: random.Random, formulas: list[Formula]):
+    """Each answer of a drawn sequence of the four public engines."""
+    window: list[tuple[Formula, tuple[int, ...]]] = []
+    for f in formulas:
+        xs = tuple(rng.sample(range(1, f.scope + 1), min(f.scope, rng.randint(0, 6))))
+        window = [*window[-2:], (f, xs)]
+        for _ in range(4):
+            base, block = rng.choice(window)
+            g, offset = rng.choice(
+                [(base, 0), (parse_circuit(print_circuit(base)), 0),
+                 (Formula(base.node, base.scope + 1), 0), (base.shift(1), 1)]
+            )
+            engine = rng.randrange(4)
+            if engine == 0:
+                yield engine, count_fast(g)
+            elif engine == 1:
+                bound = rng.randint(0, (1 << g.scope) + 1)
+                yield engine, bound, threshold_check(g, bound)
+            else:
+                chooser = rng.choice([tuple(v + offset for v in block), ()])
+                rest = tuple(v for v in range(1, g.scope + 1) if v not in chooser)
+                if engine == 2:
+                    w = max_count(SplitInstance(g, chooser, rest))
+                else:
+                    bound = rng.randint(0, (1 << len(rest)) + 1)
+                    w = dmax_pruned(SplitInstance(g, chooser, rest, bound))
+                yield engine, chooser, w and (w.values, w.achieved)
+
+
 def digest(seed: int, budget: int) -> str:
     rng = random.Random(seed)
+    formulas = corpus(rng, budget)
     h = hashlib.sha256()
-    for f in corpus(rng, budget):
+    for f in formulas:
         for k in [0, *rng.sample(range(1, f.scope + 1), min(2, f.scope))]:
             for value, memo in searches(rng, f, k):
                 h.update(repr((f.scope, k, value)).encode())
                 h.update(repr(sorted((repr(key), v) for key, v in memo.items())).encode())
-    return h.hexdigest()
+    engines = hashlib.sha256()
+    for answer in answers(rng, formulas):
+        engines.update(repr(answer).encode())
+    return f"{h.hexdigest()} {engines.hexdigest()}"
 
 
 def main() -> int:

@@ -35,20 +35,17 @@ too, so a bounded chooser search stops once a choice reaches its bound;
 components, complements and the other splits wait until the chooser block
 is set.
 
-:func:`count_fast` and :func:`threshold_check` keep their memo between
-calls in one module-level slot with the last formula's scope and root
-residue, the persistent component cache of sharpSAT held for one root at a
-time. A call whose formula has an equal scope and a root residue equal
-under ``==`` (so an equal but distinct parse too) searches on that memo; any
-other call replaces the slot, freeing the old memo. Its entries are exact
-counts, so a threshold after a count on an equal formula is one lookup.
+The memo outlives a call in one module-level slot, the persistent
+component cache of sharpSAT held for one root at a time: the last root
+searched by any engine, here or in :mod:`dmaxsat.solver`, with its residue
+and memo (see :func:`held_memo`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
 from operator import attrgetter
-from typing import Generator, Sequence
+from typing import Callable, Generator, Sequence
 
 from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var, shifted
 
@@ -400,24 +397,36 @@ def count_residue(
             return value
 
 
-# The last formula counted, as (scope, residue, memo): its root residue and
-# the memo of every count_fast and threshold_check on it. Replacing it frees
-# the memo.
-_last: tuple[int, Residue | None, dict[Residue, int]] = (-1, None, {})
+# The last root searched, as (key, residue, memo); see held_memo. Replacing
+# it frees the memo.
+_last: tuple[tuple, Residue | None, dict[Residue, int]] = ((), None, {})
+
+
+def held_memo(
+    scope: int, chooser: tuple[int, ...], node: Node, build: Callable[[], Node] | None = None
+) -> tuple[Residue | None, dict[Residue, int]]:
+    """The root residue and memo that the slot keeps for one search's root.
+
+    The key is ``(scope, chooser, node)``: the formula's scope, its chooser
+    block (empty when counting) and its node, compared with ``==``, cheap
+    parts first, so an equal but distinct parse matches too. On a match
+    the held residue and memo are returned. Otherwise the residue of
+    ``build()`` (of ``node`` when ``build`` is None) and an empty memo
+    replace the slot, which frees the old memo. A max/sum memo with an
+    empty chooser block is a count memo, so counting and the solver share
+    that entry.
+    """
+    global _last
+    key = scope, chooser, node
+    held, residue, memo = _last
+    if held != key:
+        residue, memo = residue_of(node if build is None else build()), {}
+        _last = key, residue, memo
+    return residue, memo
 
 
 def _count(f: Formula, cap: int | None) -> int:
-    # count_residue from f's root on the slot's memo. A hit searches from
-    # the held residue, so the root's lookup matches by identity; a miss
-    # replaces the slot first, freeing the old memo before the new one grows
-    global _last
-    residue = residue_of(f.node)
-    scope, held, memo = _last
-    if scope == f.scope and held == residue:
-        residue = held
-    else:
-        memo = {}
-        _last = (f.scope, residue, memo)
+    residue, memo = held_memo(f.scope, (), f.node)
     return count_residue(residue, 1, f.scope, memo, cap)
 
 
@@ -427,9 +436,9 @@ def count_fast(f: Formula) -> int:
     Agrees with :func:`count_bruteforce` on every input. Its steps (forced
     runs of literals, interval components, complements, top-literal and
     selector splits) apply in a fixed order, so traces are reproducible.
-    The memo outlives the call in the module's slot: the next
-    :func:`count_fast` or :func:`threshold_check` on an equal formula, an
-    equal but distinct parse too, reuses it, and one on any other formula
+    The memo outlives the call in the module's slot (:func:`held_memo`),
+    keyed by f's scope, an empty chooser block and f's node: a later call
+    of any engine on an equal root reuses it, and one on another root
     replaces it.
     """
     return _count(f, None)
@@ -438,7 +447,7 @@ def count_fast(f: Formula) -> int:
 def threshold_check(f: Formula, bound: int) -> bool:
     """Decide count(f) >= bound, stopping once the answer is forced.
 
-    Runs the search of :func:`count_fast`, on the same slot's memo, capped
+    Runs the search of :func:`count_fast`, on the slot's memo, capped
     at the bound: a branch that reaches its share of the bound ends its
     parent, a product caps its second factor at the bound divided by the
     first, and a complement counts exactly. Only exact residue counts enter

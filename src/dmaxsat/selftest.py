@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 from .counting import count_bruteforce, count_fast, threshold_check
 from .formats import parse_circuit, print_circuit
-from .formula import And, Formula, Not, Or
+from .formula import TRUE, And, Formula, Not, Or
 from .gadgets import k_value, less_than_const, pack_many, pack_pair, psi_gadget, unpack_digits
 from .generate import random_cnf, random_formula, random_split_instance
 from .reduction import EqualityQuery, ThresholdQuery, combine_equalities, eq_to_geq
@@ -337,9 +337,11 @@ def _solver_problem(rng: random.Random, instance: SplitInstance) -> str | None:
         ):
             return f"invalid witness {plain} at bound {bound}"
     # the decisions above read the memo that max_count left for this
-    # formula; an equal but distinct copy starts each one on an empty memo
+    # formula, which an equal copy matches too; a count on another formula
+    # replaces that memo, so each decision on the copy starts on an empty one
     for bound, plain in decided.items():
         copy = parse_circuit(print_circuit(instance.formula))
+        count_fast(Formula(TRUE, 0))
         cold = dmax_pruned(SplitInstance(copy, xs, ys, bound))
         if cold != plain:
             return f"engines disagree at bound {bound} on a fresh copy: {plain} vs {cold}"

@@ -9,13 +9,11 @@ which makes differential testing exact.
 :func:`max_count` and :func:`dmax_pruned` share one engine. It renames the
 instance's variables (:func:`dmaxsat.formula.renamed`) so that the chooser
 block comes first, and holds it as a flat residue (see
-:mod:`dmaxsat.counting`). A module-level slot keeps that residue and the
-search's memo for the last split searched, keyed by the formula's node
-(compared with ``is``), the chooser block and the sorted counted block.
-Further calls on one formula and split, at any bound, neither rename it
-again nor search again what an earlier call finished. The slot holds one
-entry: a call on another formula or split replaces it and frees the old
-memo. One max/sum search (:func:`dmaxsat.counting.count_residue` with
+:mod:`dmaxsat.counting`). It keeps residue and memo in the slot of
+:func:`dmaxsat.counting.held_memo`, keyed by the scope, the chooser block
+and the formula's node, so further calls on an equal formula and chooser
+block, at any bound, neither rename it again nor search again what an
+earlier call finished. One max/sum search (:func:`count_residue` with
 k = |x|) maximizes over the chooser block and sums over the counted
 block. It forces literals inside the chooser block too, and when deciding
 it is capped at the bound, so it stops once a choice reaches it. A greedy
@@ -26,8 +24,7 @@ the unpruned reference: it enumerates the chooser block and counts each
 assignment on its own with :func:`count_given_x`, which restricts the
 chooser variables one at a time (:meth:`dmaxsat.formula.Node.restrict`)
 and counts what is left on a fresh memo, so the reference reuses nothing
-between calls: neither this module's slot nor the one of
-:func:`dmaxsat.counting.count_fast`.
+between calls and leaves the slot alone.
 """
 
 from __future__ import annotations
@@ -37,10 +34,10 @@ from typing import Iterator, Sequence
 
 from .counting import (
     DEFAULT_LIMIT,
-    Residue,
     ScopeLimitError,
     count_fast,  # noqa: F401  unused here; bench/spans.py wraps solver.count_fast
     count_residue,
+    held_memo,
     residue_of,
     restrict_residue,
 )
@@ -201,23 +198,15 @@ def dmax_pruned(
     return _search(instance, bound)
 
 
-# The last split searched, as (node, blocks, residue, memo): the formula's
-# node, held so that the identity test in _search stays sound, the chooser
-# block with the sorted counted block, the relabelled residue and the
-# max/sum memo. Replacing it frees the memo.
-_last: tuple[Node | None, tuple, Residue | None, dict[Residue, int]] = (None, (), None, {})
-
-
 def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
     """One max/sum search over the relabelled instance, then a greedy descent.
 
     The instance is relabelled so that x_vars[i] becomes variable i+1 and
     the y block follows, and held as a flat residue. Residue and memo come
-    from the slot ``_last`` when it holds this formula's node (by identity)
-    with the same chooser block and the same sorted counted block.
-    Otherwise the instance is relabelled, the memo starts empty, and both
-    replace the slot, which frees the memo it held. The bound is not part
-    of the key: an exact memo entry holds under every cap, and a lower
+    from :func:`dmaxsat.counting.held_memo` under the key of the scope,
+    x_vars and the formula's node. The sorted y block is not in the key,
+    because :class:`SplitInstance` makes it the scope minus x_vars; nor is
+    the bound: an exact memo entry holds under every cap, and a lower
     bound answers only a search that it reaches the cap of. One
     :func:`dmaxsat.counting.count_residue` search with k = |x| maximizes
     over the chooser block and sums over the y block, capped at ``bound``
@@ -233,16 +222,11 @@ def _search(instance: SplitInstance, bound: int | None) -> Witness | None:
     lexicographically least chooser meeting the requirement, and its count
     is searched uncapped, so ``achieved`` is exact.
     """
-    global _last
     k = len(instance.x_vars)
     scope = instance.formula.scope
-    node = instance.formula.node
-    blocks = (instance.x_vars, tuple(sorted(instance.y_vars)))
-    held, held_blocks, residue, memo = _last
-    if held is not node or held_blocks != blocks:
-        memo = {}
-        residue = residue_of(_relabel(instance))
-        _last = (node, blocks, residue, memo)
+    residue, memo = held_memo(
+        scope, instance.x_vars, instance.formula.node, lambda: _relabel(instance)
+    )
     cap = bound or None  # every chooser reaches a bound of 0
     best = count_residue(residue, 1, scope, memo, cap, k)
     need = best if bound is None else bound

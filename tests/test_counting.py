@@ -516,22 +516,46 @@ def test_deep_formulas_count_and_threshold_match_bruteforce(f):
 @settings(max_examples=80)
 @given(st.lists(formulas(max_scope=5), min_size=1, max_size=3), st.data())
 def test_kept_memo_answers_every_sequence_exactly(fs, data):
-    # count_fast and threshold_check in a drawn order over a few formulas,
-    # their equal parses, the same node under one more scope variable and a
-    # shifted copy: every answer is exact, whatever memo the slot holds
+    # count_fast, threshold_check, max_count and dmax_pruned in a drawn
+    # order over a few formulas, their equal parses, the same node under one
+    # more scope variable and a shifted copy, each split at a drawn chooser
+    # block (moved with the copy) and at the empty one: every answer is
+    # exact, whatever memo the slot holds
     shapes = []
     for f in fs:
         d = data.draw(st.integers(1, 3))
-        for g in (f, parse_circuit(print_circuit(f)), Formula(f.node, f.scope + 1), f.shift(d)):
-            shapes.append((g, count_bruteforce(g)))
+        order = data.draw(st.permutations(range(1, f.scope + 1)))
+        xs = tuple(order[: data.draw(st.integers(0, f.scope))])
+        copies = (f, 0), (parse_circuit(print_circuit(f)), 0), (Formula(f.node, f.scope + 1), 0)
+        for g, offset in (*copies, (f.shift(d), d)):
+            splits = []
+            for chooser in (tuple(v + offset for v in xs), ()):
+                rest = tuple(v for v in range(1, g.scope + 1) if v not in chooser)
+                splits.append(SplitInstance(g, chooser, rest))
+            shapes.append((g, count_bruteforce(g), splits))
     for _ in range(data.draw(st.integers(1, 12))):
-        g, count = data.draw(st.sampled_from(shapes))
-        top = (1 << g.scope) + 1
-        bound = data.draw(st.one_of(st.none(), st.sampled_from([count, count + 1]), st.integers(0, top)))
-        if bound is None:
-            assert count_fast(g) == count
+        g, count, splits = data.draw(st.sampled_from(shapes))
+        engine = data.draw(st.sampled_from(["count", "max_count", "dmax_pruned"]))
+        if engine == "count":
+            top = (1 << g.scope) + 1
+            bound = data.draw(
+                st.one_of(st.none(), st.sampled_from([count, count + 1]), st.integers(0, top))
+            )
+            if bound is None:
+                assert count_fast(g) == count
+            else:
+                assert threshold_check(g, bound) == (count >= bound)
+            continue
+        instance = data.draw(st.sampled_from(splits))
+        if engine == "max_count":
+            best = max_count(instance)
+            bounded = dataclasses.replace(instance, bound=best.achieved)
+            assert dmax_decide(bounded) == best
+            assert dmax_decide(dataclasses.replace(bounded, bound=best.achieved + 1)) is None
         else:
-            assert threshold_check(g, bound) == (count >= bound)
+            bound = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
+            bounded = dataclasses.replace(instance, bound=bound)
+            assert dmax_pruned(bounded) == dmax_decide(bounded)
 
 
 def test_threshold_after_a_count_reads_the_root(monkeypatch):
@@ -611,8 +635,8 @@ def test_interrupted_search_leaves_an_exact_memo(monkeypatch, stop, capped):
         else:
             count_fast(f)
     monkeypatch.undo()
-    scope, held, memo = dmaxsat.counting._last
-    assert (scope, held) == (8, residue_of(f.node))
+    (scope, chooser, node), held, memo = dmaxsat.counting._last
+    assert (scope, chooser, node, held) == (8, (), f.node, residue_of(f.node))
     _assert_exact(scope, memo)
     copy = parse_dimacs(cnf.text())
     assert threshold_check(copy, count)
@@ -629,7 +653,7 @@ def test_capped_calls_keep_only_exact_entries():
     count = count_bruteforce(f)
     for bound in (1, count // 2, count + 1, count, 1 << 7):
         assert threshold_check(f, bound) == (count >= bound)
-    scope, _, memo = dmaxsat.counting._last
+    (scope, _, _), _, memo = dmaxsat.counting._last
     assert memo
     assert min(memo.values()) >= 0
     _assert_exact(scope, memo)

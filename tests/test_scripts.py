@@ -57,7 +57,7 @@ def test_search_digest_does_not_depend_on_the_hash_seed(monkeypatch):
         assert proc.returncode == 0, proc.stderr
         outputs.add(proc.stdout)
     (out,) = outputs
-    assert re.fullmatch(r"[0-9a-f]{64}\n", out)
+    assert re.fullmatch(r"[0-9a-f]{64} [0-9a-f]{64}\n", out)
 
 
 def test_cli_startup_times_both_sides_and_checks_their_output():

@@ -21,6 +21,8 @@ from dmaxsat import (
     SplitInstance,
     Var,
     Witness,
+    count_bruteforce,
+    count_fast,
     count_given_x,
     dmax_decide,
     dmax_pruned,
@@ -31,9 +33,10 @@ from dmaxsat import (
     print_circuit,
 )
 import dmaxsat.counting
+import dmaxsat.selftest
 from dmaxsat.counting import count_residue, residue_of
-from dmaxsat.generate import random_split_instance
-from dmaxsat.selftest import solver_law
+from dmaxsat.generate import random_cnf, random_split_instance
+from dmaxsat.selftest import _solver_problem, solver_law
 from dmaxsat.solver import _relabel
 
 from strategies import cnf_formulas, deep_formulas, formulas
@@ -316,12 +319,88 @@ def test_solver_keeps_one_formula_and_still_checks_limits():
     with pytest.raises(ScopeLimitError):
         dmax_pruned(dataclasses.replace(instance, bound=1), limit=1)
     assert dmax_pruned(dataclasses.replace(instance, bound=3)) == Witness((True,), 3)
+    # one slot for every engine: a count on another formula frees this memo
+    assert count_fast(OR_XY) == 3
+    assert sys.getrefcount(node) == refs
+    assert max_count(instance) == Witness((True,), 3)
     assert max_count(SplitInstance(OR_XY, (1,), (2,))) == Witness((True,), 2)
     assert sys.getrefcount(node) == refs
     formula = weakref.ref(first)
     del first, instance
     gc.collect()
     assert formula() is None
+
+
+def _restrictions(monkeypatch):
+    # the calls of counting.restrict_residue, which every search step makes
+    calls = []
+    real = dmaxsat.counting.restrict_residue
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dmaxsat.counting, "restrict_residue", counted)
+    return calls
+
+
+def test_decision_after_max_count_on_an_equal_parse_reads_the_root(monkeypatch):
+    # the slot matches an equal but distinct parse with the same blocks, so
+    # deciding one above the maximum is a lookup of the root's exact value
+    f = random_cnf(random.Random(4), 11, 12)
+    xs, ys = (2, 5, 7, 9, 11, 1), (3, 4, 6, 8, 10)
+    best = max_count(SplitInstance(f, xs, ys))
+    assert best.achieved == 6
+    calls = _restrictions(monkeypatch)
+    copy = parse_circuit(print_circuit(f))
+    assert copy.node is not f.node
+    assert dmax_pruned(SplitInstance(copy, xs, ys, best.achieved + 1)) is None
+    assert calls == []
+    # another chooser block is another root
+    assert dmax_pruned(SplitInstance(copy, xs[:-1], (1, *ys), best.achieved + 1)) is None
+    assert calls
+
+
+@pytest.mark.parametrize("count_first", [True, False])
+def test_count_and_empty_chooser_block_share_the_root(monkeypatch, count_first):
+    # a max/sum memo over an empty chooser block is a count memo, so after
+    # either engine the other's call on an equal parse is a root lookup
+    f = random_cnf(random.Random(4), 10, 10)
+    copy = parse_circuit(print_circuit(f))
+    count = count_bruteforce(f)
+    assert count == 32
+    instance = SplitInstance(copy, (), tuple(range(1, 11)))
+    assert count_fast(OR_XY) == 3  # the slot holds another formula
+    if count_first:
+        assert count_fast(f) == count
+    else:
+        assert max_count(instance) == Witness((), count)
+    calls = _restrictions(monkeypatch)
+    if count_first:
+        assert max_count(instance) == Witness((), count)
+    else:
+        assert count_fast(f) == count
+    assert calls == []
+
+
+def test_selftest_decides_each_copy_on_an_empty_memo(monkeypatch):
+    # the solver suite decides an equal copy of each instance after
+    # max_count on the original: each such decision must search from scratch
+    instance = SplitInstance(MIXED, (1,), (2, 3))
+    calls = _restrictions(monkeypatch)
+    cold = []
+    real = dmaxsat.selftest.dmax_pruned
+
+    def pruned(bounded):
+        before = len(calls)
+        result = real(bounded)
+        if bounded.formula is not MIXED:
+            cold.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(dmaxsat.selftest, "dmax_pruned", pruned)
+    assert _solver_problem(random.Random(1), instance) is None
+    assert cold and all(cold)
 
 
 def test_relabel_keeps_shared_subtrees_shared():
