@@ -18,7 +18,9 @@ followed on the memo it left by a greedy descent over the chooser block,
 as the solver makes, and by searches at the cap plus one and uncapped,
 which read its lower bounds; the capped search also runs on the uncapped
 search's memo. Every result and the full contents of every memo, sorted
-by key, enter the first digest.
+by key, enter the first digest. These searches run with
+``counting.TABLE_WIDTH`` set to 0, so the memos record every split, as
+they did before narrow residues were counted from truth tables.
 
 The second digest holds only answers, so it stays comparable when a
 change alters what the memos hold. Over the same corpus, a drawn sequence
@@ -26,7 +28,8 @@ calls :func:`count_fast`, :func:`threshold_check`, :func:`max_count` and
 :func:`dmax_pruned` on the last three formulas, their equal parses, the
 same node under one more scope variable and a copy shifted by one, split
 at one drawn chooser block per formula (moved with the copy) or at the
-empty one. Neither line depends on ``PYTHONHASHSEED``.
+empty one, at the default table width. Neither line depends on
+``PYTHONHASHSEED``.
 """
 
 import argparse
@@ -48,6 +51,7 @@ from dmaxsat import (
     psi_gadget,
     threshold_check,
 )
+from dmaxsat import counting
 from dmaxsat.counting import count_residue, residue_of, restrict_residue
 from dmaxsat.generate import random_cnf, random_formula
 
@@ -133,11 +137,15 @@ def digest(seed: int, budget: int) -> str:
     rng = random.Random(seed)
     formulas = corpus(rng, budget)
     h = hashlib.sha256()
-    for f in formulas:
-        for k in [0, *rng.sample(range(1, f.scope + 1), min(2, f.scope))]:
-            for value, memo in searches(rng, f, k):
-                h.update(repr((f.scope, k, value)).encode())
-                h.update(repr(sorted((repr(key), v) for key, v in memo.items())).encode())
+    width, counting.TABLE_WIDTH = counting.TABLE_WIDTH, 0
+    try:
+        for f in formulas:
+            for k in [0, *rng.sample(range(1, f.scope + 1), min(2, f.scope))]:
+                for value, memo in searches(rng, f, k):
+                    h.update(repr((f.scope, k, value)).encode())
+                    h.update(repr(sorted((repr(key), v) for key, v in memo.items())).encode())
+    finally:
+        counting.TABLE_WIDTH = width
     engines = hashlib.sha256()
     for answer in answers(rng, formulas):
         engines.update(repr(answer).encode())

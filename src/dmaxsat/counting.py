@@ -8,8 +8,11 @@ Two engines with identical semantics:
 * :func:`count_fast` runs one memoized search, :func:`count_residue`, that
   forces runs of literals, multiplies interval components, counts ``Not(X)``
   as a complement, and splits a lone ``Or`` at its top literal and gadget
-  selectors at theirs before it splits on the lowest variable. Unused scope
-  variables contribute a factor two each.
+  selectors at theirs before it splits on the lowest variable. A residue
+  whose variables all lie within :data:`TABLE_WIDTH` of its lowest one is
+  not split at all: it is counted outright from its truth table, the leaf
+  step of sharpSAT's component search. Unused scope variables contribute a
+  factor two each.
 
 A residue is the circuit's top-level conjunction held flat: a tuple of its
 conjuncts, none of them an ``And`` or free of variables, sorted by
@@ -22,12 +25,16 @@ search can read a finished independent sub-search that it meets again at
 another offset, as the mirror of :func:`dmaxsat.gadgets.psi_gadget`
 repeats its operand: the component cache of sharpSAT (Thurley, SAT 2006),
 modulo a shift. Memo lookups compare residues with ``Node.__eq__``, one
-walk on an explicit stack. Only :meth:`Node.restrict` and
-:meth:`Node.eval_mask` recurse, and the search calls ``restrict`` down to
-the variable it sets. A deep tree is safe when the search sets only
-variables near its top, as it does on a comparator chain, and may meet the
-recursion limit otherwise, as when the solver sets a chooser at the bottom
-of a deep ``not`` nest.
+walk on an explicit stack. A truth table is an integer of 2**w bits, one
+per assignment of the residue's w variables, so one C-level ``&``, ``|``
+or ``^`` evaluates an operator on all of them at once and
+``int.bit_count`` counts the models; its walk is on an explicit stack too.
+Only :meth:`Node.restrict` and :meth:`Node.eval_mask` recurse, and the
+search calls ``restrict`` down to the variable it sets. A deep tree is safe
+when the search sets only variables near its top, as it does on a
+comparator chain, or when it is narrow enough for one table, and may meet
+the recursion limit otherwise, as when the solver sets a chooser at the
+bottom of a deep ``not`` nest.
 :func:`threshold_check` runs the search capped at the bound, and the
 chooser solver with its chooser block 1..k maximized instead of summed.
 Inside that block the search still forces literals, and caps hold there
@@ -44,12 +51,20 @@ and memo (see :func:`held_memo`).
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from functools import cache
 from operator import attrgetter
 from typing import Callable, Generator, Sequence
 
 from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var, shifted
 
 DEFAULT_LIMIT = 24
+
+# A residue above the chooser block whose variables all lie in v..v+w-1,
+# with w at most this, is counted by one walk over 2**w-bit truth tables.
+# Width 12 counts faster still, but bench/run.py keeps a record of about
+# 100 bytes per timed query, and the extra queries of its count workload
+# then read as more peak memory than the benchmark's bound allows.
+TABLE_WIDTH = 10
 
 Residue = tuple[Node, ...]
 
@@ -218,6 +233,56 @@ def _decision(residue: Residue, v: int) -> int:
     return v
 
 
+@cache
+def _tables(w: int) -> tuple[int, tuple[int, ...]]:
+    # the table of all 2**w assignments, and for each i < w the table of the
+    # i-th variable: bit a set iff bit i of a is. That is blocks of 2**i
+    # zeros and ones in turn, ones // (2**(2**i) + 1) moved up by 2**i
+    ones = (1 << (1 << w)) - 1
+    return ones, tuple(ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(w))
+
+
+def _table_count(residue: Residue, v: int, w: int) -> int:
+    # models over v..v+w-1 of a residue that mentions no other variable: the
+    # bits of the AND of its conjuncts' truth tables. A post-order walk on an
+    # explicit stack keeps each operator's table by id, so a shared subtree
+    # is walked once; a variable child is read from its column directly
+    ones, columns = _tables(w)
+    done: dict[int, int] = {}
+    value = ones
+    for c in residue:
+        stack = [c]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is Not:
+                x = node.child
+                t = columns[x.index - v] if type(x) is Var else done.get(id(x))
+                if t is None:
+                    stack += (node, x)
+                    continue
+                t ^= ones
+            elif kind is And or kind is Or:
+                x, y = node.left, node.right
+                a = columns[x.index - v] if type(x) is Var else done.get(id(x))
+                b = columns[y.index - v] if type(y) is Var else done.get(id(y))
+                if a is None or b is None:
+                    stack.append(node)
+                    if b is None:
+                        stack.append(y)
+                    if a is None:
+                        stack.append(x)
+                    continue
+                t = a & b if kind is And else a | b
+            elif kind is Var:
+                t = columns[node.index - v]
+            else:
+                t = ones if node.value else 0
+            done[id(node)] = t
+        value &= t
+    return value.bit_count()
+
+
 def count_residue(
     residue: Residue | None,
     lo: int,
@@ -239,6 +304,16 @@ def count_residue(
     reached. That lower bound answers a later search that it reaches the
     cap of, so the solver's descent under the same cap reads it instead of
     searching the residue again; any other search replaces it.
+
+    On a memo miss, a residue whose lowest variable v lies above 1..k and
+    whose variables all lie in v..v + ``TABLE_WIDTH`` - 1 is not split:
+    each variable j becomes the truth table of bit j - v over the 2**w
+    assignments of its w variables, each operator the bitwise ``&``, ``|``
+    or complement of its children's tables, and the AND of the conjuncts'
+    tables holds its models. That count, scaled by the unused variables
+    above its highest one, is stored as an exact entry whatever the cap.
+    The start of its last conjunct, ``residue[-1].min_var``, rejects most
+    wide residues before the maximum over its conjuncts is taken.
 
     Each call also owns a table, freed when it returns, of the searches
     that start apart from their parent above the chooser block: the child
@@ -379,10 +454,20 @@ def count_residue(
         skip = v - lo if lo > k else max(v - k - 1, 0)
         if value is None or value < 0 and (cap is None or -value <= (cap - 1) >> skip):
             # a miss, or a lower bound that does not reach this cap
-            if cap is not None:
-                cap = ((cap - 1) >> skip) + 1
-            searches.append((search(residue, v, cap, fresh, reach), skip))
-            value = None
+            if (
+                v > k
+                and residue[-1].min_var - v < TABLE_WIDTH
+                and (top := max(map(_MAX, residue))) - v < TABLE_WIDTH
+            ):
+                # narrow and above the chooser block: counted from its
+                # truth table, exactly whatever the cap
+                value = memo[residue] = _table_count(residue, v, top - v + 1) << (scope - top)
+                value <<= skip
+            else:
+                if cap is not None:
+                    cap = ((cap - 1) >> skip) + 1
+                searches.append((search(residue, v, cap, fresh, reach), skip))
+                value = None
         else:
             value = abs(value) << skip
         while searches:

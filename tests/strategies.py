@@ -1,6 +1,10 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies, and a runner for differential tests, shared by the
+test modules."""
+
+import functools
 
 import hypothesis.strategies as st
+import pytest
 
 from dmaxsat import (
     FALSE,
@@ -10,6 +14,7 @@ from dmaxsat import (
     Not,
     Or,
     Var,
+    counting,
     less_than_const,
     pack_many,
     psi_gadget,
@@ -127,3 +132,19 @@ def deep_formulas(draw, max_scope: int = 10, max_depth: int = 150) -> Formula:
         for _ in range(draw(st.integers(1, max_depth))):
             node = Not(node)
     return Formula(node, scope)
+
+
+def at_each_width(test):
+    """Run a differential test twice, each time from an empty counting slot:
+    with the truth-table step off, so that every search splits down to its
+    leaves, and at the default ``counting.TABLE_WIDTH``."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for width in (0, counting.TABLE_WIDTH):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(counting, "TABLE_WIDTH", width)
+                patch.setattr(counting, "_last", ((), None, {}))
+                test(*args, **kwargs)
+
+    return run

@@ -41,8 +41,10 @@ from dmaxsat import (
 import dmaxsat.counting
 from dmaxsat.counting import _decision, count_residue, residue_of
 from dmaxsat.formula import shifted
+from dmaxsat.generate import random_formula
 
 from strategies import (
+    at_each_width,
     cnf_formulas,
     comparator_formulas,
     comparators,
@@ -91,11 +93,13 @@ def test_fast_handles_unfolded_constant_trees():
 
 
 @given(formulas(max_scope=8))
+@at_each_width
 def test_fast_equals_bruteforce(f):
     assert count_fast(f) == count_bruteforce(f)
 
 
 @given(formulas(max_scope=6), st.integers(1, 4))
+@at_each_width
 def test_scope_scaling(f, extra):
     widened = Formula(f.node, f.scope + extra)
     assert count_bruteforce(widened) == count_bruteforce(f) << extra
@@ -135,6 +139,7 @@ def test_threshold_basics():
 
 @settings(max_examples=60)
 @given(formulas(max_scope=6))
+@at_each_width
 def test_threshold_agrees_with_count_for_every_bound(f):
     count = count_bruteforce(f)
     for bound in range((1 << f.scope) + 2):
@@ -164,6 +169,7 @@ EDGE_SHAPES = {
 
 
 @pytest.mark.parametrize("f", EDGE_SHAPES.values(), ids=EDGE_SHAPES.keys())
+@at_each_width
 def test_edge_shapes_match_bruteforce(f):
     count = count_bruteforce(f)
     assert count_fast(f) == count
@@ -172,6 +178,7 @@ def test_edge_shapes_match_bruteforce(f):
 
 
 @given(cnf_formulas(), st.data())
+@at_each_width
 def test_cnf_counts_and_thresholds_match_bruteforce(f, data):
     count = count_bruteforce(f)
     assert count_fast(f) == count
@@ -201,6 +208,7 @@ def test_searches_leave_no_reference_cycles():
 
 @settings(max_examples=60)
 @given(gadget_formulas(), st.data())
+@at_each_width
 def test_gadget_counts_and_thresholds_match_bruteforce(f, data):
     count = count_bruteforce(f)
     assert count_fast(f) == count
@@ -211,6 +219,7 @@ def test_gadget_counts_and_thresholds_match_bruteforce(f, data):
 
 @settings(max_examples=40)
 @given(gadget_formulas(), st.data())
+@at_each_width
 def test_gadget_chooser_engines_match_enumeration(f, data):
     order = data.draw(st.permutations(range(1, f.scope + 1)))
     cut = data.draw(st.integers(0, f.scope))
@@ -223,6 +232,7 @@ def test_gadget_chooser_engines_match_enumeration(f, data):
 
 
 @given(comparator_formulas(), st.data())
+@at_each_width
 def test_comparator_counts_and_thresholds_match_bruteforce(f, data):
     count = count_bruteforce(f)
     assert count_fast(f) == count
@@ -232,6 +242,7 @@ def test_comparator_counts_and_thresholds_match_bruteforce(f, data):
 
 
 @given(comparators(), st.data())
+@at_each_width
 def test_psi_of_a_comparator_counts_its_parabola(comparator, data):
     n, c = comparator
     delta = data.draw(st.integers(0, (1 << n) >> 1))
@@ -242,6 +253,15 @@ def test_psi_of_a_comparator_counts_its_parabola(comparator, data):
     assert not threshold_check(f, value + 1) and not _cold(f, value + 1)
 
 
+@pytest.fixture
+def split_only():
+    # the formulas of the step tests span at most TABLE_WIDTH variables, so
+    # by default they are counted from one truth table and never split
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dmaxsat.counting, "TABLE_WIDTH", 0)
+        yield
+
+
 def _searched(node, scope):
     # the memo that one uncapped search leaves, once its count is checked
     memo = {}
@@ -250,6 +270,7 @@ def _searched(node, scope):
     return memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_forced_literal_is_split_first():
     # forcing the literal x2 above the lowest variable leaves the unit x3
     # next to Or(x1, x3), a residue that splitting on x1 first never meets
@@ -257,6 +278,7 @@ def test_forced_literal_is_split_first():
     assert residue_of(And(Or(X1, X3), X3)) in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_interval_component_is_counted_alone():
     # Or(x1, x2) shares no variable with the conjuncts above it
     memo = _searched(and_all([Or(X1, X2), Or(X3, X4), Or(Not(X3), X5)]), 5)
@@ -264,12 +286,14 @@ def test_interval_component_is_counted_alone():
     assert residue_of(And(Or(X3, X4), Or(Not(X3), X5))) in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_single_negation_is_counted_as_a_complement():
     inner = Or(And(X1, X2), X3)
     memo = _searched(Not(inner), 3)
     assert residue_of(inner) in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_selector_or_is_split_on_its_selector():
     # the sides pin x4 to opposite values, so the split on x4 comes before
     # the one on x1 and leaves each side alone
@@ -280,6 +304,7 @@ def test_selector_or_is_split_on_its_selector():
     assert residue_of(Or(X1, X3)) in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_lone_or_is_split_on_its_top_literal():
     # the split on x3 sets the literal side and leaves the lower side as it
     # is, where a split on x1 would rebuild it
@@ -287,6 +312,7 @@ def test_lone_or_is_split_on_its_top_literal():
     assert residue_of(Or(X1, X2)) in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_false_side_leaves_the_selector_of_the_other():
     # the right side is false, as the comparator of psi_gadget(f, 0) is, so
     # the literal not x3 of the left side selects on its own
@@ -296,6 +322,7 @@ def test_false_side_leaves_the_selector_of_the_other():
     assert residue_of(Or(X1, X2)) in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_forced_run_sets_its_literals_at_once():
     # x2 and x3 are forced by one restriction: the residue after both is
     # searched, the one after x2 alone never is
@@ -304,6 +331,144 @@ def test_forced_run_sets_its_literals_at_once():
     assert residue_of(And(Or(X1, X4), Or(X1, X5))) in memo
     after_x2 = and_all([Or(X1, X4), X3, Or(Not(X3), Or(X1, X5))])
     assert residue_of(after_x2) not in memo
+
+
+def _calls(monkeypatch, name):
+    # the calls made from now on to the counting module's function name
+    calls = []
+    real = getattr(dmaxsat.counting, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dmaxsat.counting, name, counted)
+    return calls
+
+
+def _chain(low, high):
+    # x_low -> ... -> x_high with (x_low or x_high): high - low + 1 models
+    # over low..high, one per first true variable
+    links = [Or(Not(Var(i)), Var(i + 1)) for i in range(low, high)]
+    return and_all([*links, Or(Var(low), Var(high))])
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["TABLE_WIDTH", "TABLE_WIDTH + 1"])
+def test_only_a_residue_within_the_table_width_is_counted_from_its_table(monkeypatch, extra):
+    # a chain over x1..xw is counted outright, with no restriction and one
+    # memo entry, when w is the table width; one variable more is split
+    w = dmaxsat.counting.TABLE_WIDTH + extra
+    node = _chain(1, w)
+    restricts = _calls(monkeypatch, "restrict_residue")
+    memo = {}
+    assert count_residue(residue_of(node), 1, w, memo, None) == w
+    assert (restricts == [] and list(memo) == [residue_of(node)]) == (extra == 0)
+    assert count_bruteforce(Formula(node, w)) == w
+
+
+CONSTANT_LEAVES = {
+    "true under and": Or(X2, And(TRUE, X3)),
+    "false under or": And(Or(FALSE, X1), Not(And(X2, Not(FALSE)))),
+    "false subtree": Or(And(X1, FALSE), Not(Or(TRUE, X2))),
+    "true subtree": And(Or(X1, Not(And(FALSE, TRUE))), Or(Not(X3), X2)),
+}
+
+
+@pytest.mark.parametrize("node", CONSTANT_LEAVES.values(), ids=CONSTANT_LEAVES.keys())
+def test_table_reads_constants_inside_trees(node):
+    f = Formula(node, 4)
+    memo = {}
+    assert count_residue(residue_of(node), 1, 4, memo, None) == count_bruteforce(f)
+    assert len(memo) == 1
+
+
+def test_table_walks_a_shared_subtree_once():
+    # a tower of 60 And(g, g) has 2**60 leaves written out and 61 distinct
+    # nodes; under Not it is one conjunct, counted from one table
+    g = Or(X1, Not(X2))
+    for _ in range(60):
+        g = And(g, g)
+    f = Formula(Not(g), 3)
+    assert count_fast(f) == 2
+    assert threshold_check(f, 2) and not threshold_check(f, 3)
+
+
+def test_table_above_the_lowest_variable_scales_to_the_scope():
+    # a residue on x3..x7 of scope 12: its entry is its count over 3..12,
+    # and thresholds at 0, 1, the count and one above it are exact
+    f = Formula(Formula(_chain(1, 5), 5).shift(2).node, 12)
+    count = count_bruteforce(f)
+    assert count == 5 << 7
+    memo = {}
+    assert count_residue(residue_of(f.node), 1, 12, memo, None) == count
+    assert memo == {residue_of(f.node): count >> 2}
+    for bound in (0, 1, count, count + 1):
+        assert threshold_check(f, bound) == _cold(f, bound) == (count >= bound)
+    false = Formula(And(Or(X3, X4), And(Not(X3), Not(X4))), 12)
+    for bound in (0, 1):
+        assert threshold_check(false, bound) == _cold(false, bound) == (bound == 0)
+
+
+def test_threshold_after_a_count_on_a_table_reads_the_root(monkeypatch):
+    f = Formula(_chain(2, 8), 9)
+    count = count_fast(f)
+    assert count == 7 << 2
+    tables = _calls(monkeypatch, "_table_count")
+    restricts = _calls(monkeypatch, "restrict_residue")
+    copy = parse_circuit(print_circuit(f))
+    assert threshold_check(copy, count) and not threshold_check(copy, count + 1)
+    assert tables == restricts == []
+
+
+def test_chooser_search_counts_its_y_block_from_tables(monkeypatch):
+    # with the chooser block set, each residue over the y block of
+    # TABLE_WIDTH variables is counted from its table
+    w = dmaxsat.counting.TABLE_WIDTH
+    f = parse_dimacs(random_3cnf(random.Random(5), 4 + w, 2.0).text())
+    instance = SplitInstance(f, (1, 2, 3, 4), tuple(range(5, 5 + w)))
+    tables = _calls(monkeypatch, "_table_count")
+    best = max_count(instance)
+    assert tables
+    bounded = dataclasses.replace(instance, bound=best.achieved)
+    assert dmax_decide(bounded) == best == dmax_pruned(bounded)
+    above = dataclasses.replace(instance, bound=best.achieved + 1)
+    assert dmax_decide(above) is None is dmax_pruned(above)
+
+
+def test_deep_negation_nest_is_one_table():
+    # 3000 nested Not over x1: one walk on an explicit stack and one entry,
+    # where the search would open one complement per level
+    nest = X1
+    for _ in range(3000):
+        nest = Not(nest)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        memo = {}
+        assert count_residue(residue_of(nest), 1, 2, memo, None) == 2
+        assert len(memo) == 1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("n", [11, 13, 15])
+@at_each_width
+def test_seeded_formulas_above_the_table_width_match_the_oracles(n):
+    # scope 11..15: the search splits the top variables and reaches tables
+    # below them (with tables on), or splits down to its leaves (off)
+    rng = random.Random(n)
+    cnf = parse_dimacs(random_3cnf(rng, n, 3.0).text())
+    for f in (cnf, random_formula(rng, n, 3 * n)):
+        count = count_bruteforce(f)
+        assert count_fast(f) == count
+        for bound in (1, count, count + 1):
+            assert threshold_check(f, bound) == _cold(f, bound) == (count >= bound)
+        instance = SplitInstance(f, (1, n, 2), tuple(range(3, n)))
+        best = max_count(instance)
+        assert dmax_decide(dataclasses.replace(instance, bound=best.achieved)) == best
+        for bound in (best.achieved, best.achieved + 1):
+            bounded = dataclasses.replace(instance, bound=bound)
+            assert dmax_pruned(bounded) == dmax_decide(bounded)
 
 
 # a residue of one conjunct over x1..x3, and near misses of its copy on
@@ -335,6 +500,7 @@ def _forge(node, like):
 
 @pytest.mark.parametrize("forged", [False, True], ids=["hashed", "forged hashes"])
 @pytest.mark.parametrize("name", NEAR_MISSES)
+@pytest.mark.usefixtures("split_only")
 def test_only_a_shifted_copy_is_read_from_the_table(name, forged):
     # And(f, Not(g)): the part f is searched first, and the complement's
     # child g is read from the table, leaving no memo key, only when g is f
@@ -351,6 +517,7 @@ def test_only_a_shifted_copy_is_read_from_the_table(name, forged):
     assert not threshold_check(Formula(node, 7), count + 1)
 
 
+@pytest.mark.usefixtures("split_only")
 def test_capped_part_reads_an_exact_entry():
     # the second part of a component is capped; its exact count, stored
     # under the first part's shifted copy, answers it
@@ -363,6 +530,7 @@ def test_capped_part_reads_an_exact_entry():
         assert residue_of(copy) not in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_psi_mirror_is_read_from_the_table():
     # psi holds its operand on x1..x3 and the mirror on x4..x6 under Not:
     # the mirror's residue is never searched, so the memo has no key for it
@@ -377,6 +545,7 @@ def test_psi_mirror_is_read_from_the_table():
 
 @settings(max_examples=60)
 @given(formulas(max_scope=4), st.data())
+@at_each_width
 def test_shifted_copies_count_and_threshold_match_bruteforce(f, data):
     # a formula beside its shifted copy or its complement, the psi gadget
     # at a drawn delta, and pack_many with repeated operands all meet
@@ -465,20 +634,23 @@ def test_cnf_clauses_build_no_selector_residues(monkeypatch):
 
 def test_deep_input_is_counted_without_recursion():
     # the search and the restriction of a long chain's flat residue run on
-    # explicit stacks; a deep negation nest is counted as nested complements
+    # explicit stacks; a deep negation nest over a residue too wide for one
+    # table is counted as nested complements, one memo entry per level
     n = 1500
     links = "".join(f"-{i} {i + 1} 0\n" for i in range(1, n))
     chain = parse_dimacs(f"p cnf {n} {n - 1}\n{links}")
-    nest = X1
+    w = dmaxsat.counting.TABLE_WIDTH + 2
+    nest = Or(X1, Var(w))
     for _ in range(3000):
         nest = Not(nest)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        for f, count in ((chain, n + 1), (Formula(nest, 1), 1)):
+        for f, count in ((chain, n + 1), (Formula(nest, w), 3 << (w - 2))):
             assert count_fast(f) == count
             assert not threshold_check(f, count + 1) and not _cold(f, count + 1)
             assert _cold(f, count)
+        assert len(dmaxsat.counting._last[2]) > 3000
     finally:
         sys.setrecursionlimit(limit)
 
@@ -504,6 +676,7 @@ def test_deep_comparator_is_counted_without_recursion():
 
 @settings(max_examples=60)
 @given(deep_formulas())
+@at_each_width
 def test_deep_formulas_count_and_threshold_match_bruteforce(f):
     # long chains and negation nests open deep stacks of searches: long
     # runs of splits, and one complement per Not
@@ -515,6 +688,7 @@ def test_deep_formulas_count_and_threshold_match_bruteforce(f):
 
 @settings(max_examples=80)
 @given(st.lists(formulas(max_scope=5), min_size=1, max_size=3), st.data())
+@at_each_width
 def test_kept_memo_answers_every_sequence_exactly(fs, data):
     # count_fast, threshold_check, max_count and dmax_pruned in a drawn
     # order over a few formulas, their equal parses, the same node under one
@@ -565,14 +739,7 @@ def test_threshold_after_a_count_reads_the_root(monkeypatch):
     f = parse_dimacs(cnf.text())
     count = count_fast(f)
     assert count > 0
-    calls = []
-    real = dmaxsat.counting.restrict_residue
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(dmaxsat.counting, "restrict_residue", counted)
+    calls = _calls(monkeypatch, "restrict_residue")
     copy = parse_dimacs(cnf.text())
     assert copy.node is not f.node
     assert threshold_check(copy, count)
@@ -612,6 +779,7 @@ class _Stop(Exception):
 
 
 @pytest.mark.parametrize("stop, capped", [(0, False), (3, True), (10, False), (30, True)])
+@pytest.mark.usefixtures("split_only")
 def test_interrupted_search_leaves_an_exact_memo(monkeypatch, stop, capped):
     # a search stopped by an exception keeps the slot it filled: a count
     # and thresholds on an equal copy then reuse its memo, exactly
@@ -645,15 +813,18 @@ def test_interrupted_search_leaves_an_exact_memo(monkeypatch, stop, capped):
     assert dmaxsat.counting._last[2] is memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_capped_calls_keep_only_exact_entries():
     # a k = 0 memo never holds the negative lower bounds of the chooser
-    # search: thresholds below, at and above the count store exact values
+    # search: thresholds below, at and above the count store exact values.
+    # The formula spans eight variables, so tables are off for the capped
+    # searches to run at all
     cnf = random_3cnf(random.Random(3), 8, 3.0)
     f = parse_dimacs(cnf.text())
     count = count_bruteforce(f)
     for bound in (1, count // 2, count + 1, count, 1 << 7):
         assert threshold_check(f, bound) == (count >= bound)
     (scope, _, _), _, memo = dmaxsat.counting._last
-    assert memo
+    assert len(memo) > 1
     assert min(memo.values()) >= 0
     _assert_exact(scope, memo)
