@@ -11,8 +11,9 @@ Two engines with identical semantics:
   selectors at theirs before it splits on the lowest variable. A residue
   whose variables all lie within :data:`TABLE_WIDTH` of its lowest one is
   not split at all: it is counted outright from its truth table, the leaf
-  step of sharpSAT's component search. Unused scope variables contribute a
-  factor two each.
+  step of sharpSAT's component search, and inside a chooser block (below)
+  its value is read from the same table. Unused scope variables contribute
+  a factor two each.
 
 A residue is the circuit's top-level conjunction held flat: a tuple of its
 conjuncts, none of them an ``And`` or free of variables, sorted by
@@ -29,6 +30,11 @@ walk on an explicit stack. A truth table is an integer of 2**w bits, one
 per assignment of the residue's w variables, so one C-level ``&``, ``|``
 or ``^`` evaluates an operator on all of them at once and
 ``int.bit_count`` counts the models; its walk is on an explicit stack too.
+With the lowest variables of a table maximized, each pattern of its low
+bits is read through one shift and one ``&`` with a stride mask, and the
+largest ``bit_count`` is the value. A truth table is the smallest of the
+compiled forms that exact E-MAJSAT solvers maximize over (Pipatsrisawat &
+Darwiche, IJCAI 2009).
 Only :meth:`Node.restrict` and :meth:`Node.eval_mask` recurse, and the
 search calls ``restrict`` down to the variable it sets. A deep tree is safe
 when the search sets only variables near its top, as it does on a
@@ -37,10 +43,11 @@ the recursion limit otherwise, as when the solver sets a chooser at the
 bottom of a deep ``not`` nest.
 :func:`threshold_check` runs the search capped at the bound, and the
 chooser solver with its chooser block 1..k maximized instead of summed.
-Inside that block the search still forces literals, and caps hold there
-too, so a bounded chooser search stops once a choice reaches its bound;
-components, complements and the other splits wait until the chooser block
-is set.
+Inside that block the search still forces literals and reads narrow
+residues from their tables, maximized over the chooser variables they
+span; caps hold there too, so a bounded chooser search stops once a choice
+reaches its bound. Components, complements and the other splits wait
+until the chooser block is set.
 
 The memo outlives a call in one module-level slot, the persistent
 component cache of sharpSAT held for one root at a time: the last root
@@ -59,8 +66,8 @@ from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var, shifted
 
 DEFAULT_LIMIT = 24
 
-# A residue above the chooser block whose variables all lie in v..v+w-1,
-# with w at most this, is counted by one walk over 2**w-bit truth tables.
+# A residue whose variables all lie in v..v+w-1, with w at most this, is
+# counted by one walk over 2**w-bit truth tables, in the chooser block too.
 # Width 12 counts faster still, but bench/run.py keeps a record of about
 # 100 bytes per timed query, and the extra queries of its count workload
 # then read as more peak memory than the benchmark's bound allows.
@@ -242,9 +249,18 @@ def _tables(w: int) -> tuple[int, tuple[int, ...]]:
     return ones, tuple(ones // ((1 << (1 << i)) + 1) << (1 << i) for i in range(w))
 
 
-def _table_count(residue: Residue, v: int, w: int) -> int:
-    # models over v..v+w-1 of a residue that mentions no other variable: the
-    # bits of the AND of its conjuncts' truth tables. A post-order walk on an
+@cache
+def _stride(w: int, m: int) -> int:
+    # the 2**w-bit table with a bit at every index whose low m bits are 0
+    return ((1 << (1 << w)) - 1) // ((1 << (1 << m)) - 1)
+
+
+def _table_count(residue: Residue, v: int, w: int, m: int) -> int:
+    # the value over v..v+w-1 of a residue that mentions no other variable,
+    # maximized over its m lowest variables and summed over the rest: the
+    # bits of the AND of its conjuncts' truth tables, all counted when m is
+    # 0, else the largest count of those at c, c + 2**m, c + 2 * 2**m, ...
+    # over the patterns c of the low m bits. A post-order walk on an
     # explicit stack keeps each operator's table by id, so a shared subtree
     # is walked once; a variable child is read from its column directly
     ones, columns = _tables(w)
@@ -280,7 +296,10 @@ def _table_count(residue: Residue, v: int, w: int) -> int:
                 t = ones if node.value else 0
             done[id(node)] = t
         value &= t
-    return value.bit_count()
+    if not m:
+        return value.bit_count()
+    stride = _stride(w, m)
+    return max([(value >> c & stride).bit_count() for c in range(1 << m)])
 
 
 def count_residue(
@@ -303,17 +322,23 @@ def count_residue(
     1..k and whose search reached its cap stores minus the value it
     reached. That lower bound answers a later search that it reaches the
     cap of, so the solver's descent under the same cap reads it instead of
-    searching the residue again; any other search replaces it.
+    searching the residue again; any other search replaces it, with the
+    exact value whether it splits or reads a table.
 
-    On a memo miss, a residue whose lowest variable v lies above 1..k and
-    whose variables all lie in v..v + ``TABLE_WIDTH`` - 1 is not split:
-    each variable j becomes the truth table of bit j - v over the 2**w
+    On a memo miss, a residue with lowest variable v and highest top whose
+    variables all lie in v..v + ``TABLE_WIDTH`` - 1 is not split: each
+    variable j becomes the truth table of bit j - v over the 2**w
     assignments of its w variables, each operator the bitwise ``&``, ``|``
     or complement of its children's tables, and the AND of the conjuncts'
-    tables holds its models. That count, scaled by the unused variables
-    above its highest one, is stored as an exact entry whatever the cap.
-    The start of its last conjunct, ``residue[-1].min_var``, rejects most
-    wide residues before the maximum over its conjuncts is taken.
+    tables holds its models. Above 1..k the value is their count, scaled
+    by the unused variables above top. From v <= k, the chooser variables
+    v..min(k, top) are the low m bits of an assignment's index, and the
+    value is the largest count over the 2**m patterns of those bits,
+    scaled by the summed variables above max(top, k): a chooser above top
+    adds no factor two. Either way it is stored as an exact entry whatever
+    the cap. The start of its last conjunct, ``residue[-1].min_var``,
+    rejects most wide residues before the maximum over its conjuncts is
+    taken.
 
     Each call also owns a table, freed when it returns, of the searches
     that start apart from their parent above the chooser block: the child
@@ -455,13 +480,19 @@ def count_residue(
         if value is None or value < 0 and (cap is None or -value <= (cap - 1) >> skip):
             # a miss, or a lower bound that does not reach this cap
             if (
-                v > k
-                and residue[-1].min_var - v < TABLE_WIDTH
+                residue[-1].min_var - v < TABLE_WIDTH
                 and (top := max(map(_MAX, residue))) - v < TABLE_WIDTH
             ):
-                # narrow and above the chooser block: counted from its
-                # truth table, exactly whatever the cap
-                value = memo[residue] = _table_count(residue, v, top - v + 1) << (scope - top)
+                # narrow: counted from its truth table, exactly whatever
+                # the cap. In the chooser block the table is maximized over
+                # the chooser variables it spans, and one above top adds
+                # no factor two
+                if v > k:
+                    value = _table_count(residue, v, top - v + 1, 0) << (scope - top)
+                else:
+                    value = _table_count(residue, v, top - v + 1, min(k, top) - v + 1)
+                    value <<= scope - max(top, k)
+                memo[residue] = value
                 value <<= skip
             else:
                 if cap is not None:

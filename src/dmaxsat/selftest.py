@@ -17,7 +17,6 @@ corresponding suite catches it.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import random
 from dataclasses import dataclass
@@ -325,7 +324,7 @@ def _solver_problem(rng: random.Random, instance: SplitInstance) -> str | None:
         return f"max_count returned {top}, oracle found {best_values} -> {best_count}"
     decided: dict[int, Witness | None] = {}
     for bound in sorted({0, best_count, best_count + 1, rng.randint(0, (1 << len(ys)) + 1)}):
-        bounded = dataclasses.replace(instance, bound=bound)
+        bounded = instance.with_bound(bound)
         plain = decided[bound] = dmax_decide(bounded)
         pruned = dmax_pruned(bounded)
         if plain != pruned:

@@ -15,8 +15,11 @@ and the formula's node, so further calls on an equal formula and chooser
 block, at any bound, neither rename it again nor search again what an
 earlier call finished. One max/sum search (:func:`count_residue` with
 k = |x|) maximizes over the chooser block and sums over the counted
-block. It forces literals inside the chooser block too, and when deciding
-it is capped at the bound, so it stops once a choice reaches it. A greedy
+block. It forces literals inside the chooser block too, and reads a
+residue within :data:`dmaxsat.counting.TABLE_WIDTH` variables from its
+truth table, maximized over the chooser variables it spans, so on small
+instances the search splits only the first choosers. When deciding it is
+capped at the bound, so it stops once a choice reaches it. A greedy
 descent over the chooser block then keeps False whenever the best below it
 still reaches the requirement (the instance's bound when deciding, the
 maximum when maximizing) and takes True otherwise. :func:`dmax_decide` is
@@ -29,7 +32,6 @@ between calls and leaves the slot alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .counting import (
@@ -44,25 +46,69 @@ from .counting import (
 from .formula import Formula, Node, renamed
 
 
-@dataclass(frozen=True)
-class SplitInstance:
+class _Record:
+    # an immutable record, equal, hashed, pickled and shown by the fields
+    # that its class names in __slots__: a plain slotted class rather than
+    # a frozen dataclass, so that the solver's commands never import
+    # dataclasses
+
+    __slots__ = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({shown})"
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class SplitInstance(_Record):
     """A formula whose scope is split into chooser (x) and counted (y) blocks.
 
     The two blocks must be disjoint and together cover the scope exactly.
-    ``bound``, when present, is the count the chooser must reach.
+    ``bound``, when present, is the count the chooser must reach. Immutable,
+    and equal and hashed by its four fields.
     """
+
+    __slots__ = __match_args__ = ("formula", "x_vars", "y_vars", "bound")
 
     formula: Formula
     x_vars: tuple[int, ...]
     y_vars: tuple[int, ...]
-    bound: int | None = None
+    bound: int | None
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x_vars", tuple(self.x_vars))
-        object.__setattr__(self, "y_vars", tuple(self.y_vars))
-        scope = self.formula.scope
+    def __init__(
+        self,
+        formula: Formula,
+        x_vars: Sequence[int],
+        y_vars: Sequence[int],
+        bound: int | None = None,
+    ) -> None:
+        x_vars, y_vars = tuple(x_vars), tuple(y_vars)
+        scope = formula.scope
         seen: set[int] = set()
-        for v in self.x_vars + self.y_vars:
+        for v in x_vars + y_vars:
             if not 1 <= v <= scope:
                 raise ValueError(f"variable {v} outside scope {scope}")
             if v in seen:
@@ -71,20 +117,30 @@ class SplitInstance:
         if len(seen) != scope:
             missing = sorted(set(range(1, scope + 1)) - seen)
             raise ValueError(f"blocks do not cover the scope; missing {missing}")
-        if self.bound is not None:
-            top = (1 << len(self.y_vars)) + 1
-            if not 0 <= self.bound <= top:
-                raise ValueError(
-                    f"bound {self.bound} outside [0, 2**{len(self.y_vars)} + 1]"
-                )
+        if bound is not None:
+            top = (1 << len(y_vars)) + 1
+            if not 0 <= bound <= top:
+                raise ValueError(f"bound {bound} outside [0, 2**{len(y_vars)} + 1]")
+        super().__init__(formula, x_vars, y_vars, bound)
+
+    def with_bound(self, bound: int | None) -> "SplitInstance":
+        """This instance with ``bound`` in place of its own, validated alike."""
+        return SplitInstance(self.formula, self.x_vars, self.y_vars, bound)
 
 
-@dataclass(frozen=True)
-class Witness:
-    """A chooser assignment (aligned with x_vars) and the count it achieves."""
+class Witness(_Record):
+    """A chooser assignment (aligned with x_vars) and the count it achieves.
+
+    Immutable, and equal and hashed by its two fields.
+    """
+
+    __slots__ = __match_args__ = ("values", "achieved")
 
     values: tuple[bool, ...]
     achieved: int
+
+    def __init__(self, values: tuple[bool, ...], achieved: int) -> None:
+        super().__init__(values, achieved)
 
 
 def parse_blocks(declaration: str, scope: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -1,6 +1,5 @@
 """CLI behavior: outputs, exit codes, audit lines, determinism."""
 
-import dataclasses
 import decimal
 import json
 import subprocess
@@ -16,6 +15,7 @@ from dmaxsat import (
     Or,
     SplitInstance,
     Var,
+    Witness,
     count_bruteforce,
     count_fast,
     k_value,
@@ -409,8 +409,8 @@ _CORRUPTIONS = {
     "count_fast": ("counter", lambda real: lambda f: real(f) ^ 1, "count_bruteforce"),
     "max_count": (
         "solver",
-        lambda real: lambda instance: dataclasses.replace(
-            real(instance), achieved=real(instance).achieved + 1
+        lambda real: lambda instance: Witness(
+            real(instance).values, real(instance).achieved + 1
         ),
         "max_count returned",
     ),

@@ -1,6 +1,5 @@
 """Counting engines: oracle behavior, equivalence, and threshold checks."""
 
-import dataclasses
 import gc
 import random
 import sys
@@ -200,7 +199,7 @@ def test_searches_leave_no_reference_cycles():
         assert threshold_check(f, count) and _cold(f, count)
         assert not threshold_check(f, count + 1) and not _cold(f, count + 1)
         best = max_count(instance)
-        assert dmax_pruned(dataclasses.replace(instance, bound=best.achieved)) == best
+        assert dmax_pruned(instance.with_bound(best.achieved)) == best
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -225,9 +224,9 @@ def test_gadget_chooser_engines_match_enumeration(f, data):
     cut = data.draw(st.integers(0, f.scope))
     instance = SplitInstance(f, tuple(order[:cut]), tuple(order[cut:]))
     best = max_count(instance)
-    assert dmax_decide(dataclasses.replace(instance, bound=best.achieved)) == best
+    assert dmax_decide(instance.with_bound(best.achieved)) == best
     bound = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
-    bounded = dataclasses.replace(instance, bound=bound)
+    bounded = instance.with_bound(bound)
     assert dmax_pruned(bounded) == dmax_decide(bounded)
 
 
@@ -251,15 +250,6 @@ def test_psi_of_a_comparator_counts_its_parabola(comparator, data):
     assert count_fast(f) == value
     assert threshold_check(f, value) and _cold(f, value)
     assert not threshold_check(f, value + 1) and not _cold(f, value + 1)
-
-
-@pytest.fixture
-def split_only():
-    # the formulas of the step tests span at most TABLE_WIDTH variables, so
-    # by default they are counted from one truth table and never split
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dmaxsat.counting, "TABLE_WIDTH", 0)
-        yield
 
 
 def _searched(node, scope):
@@ -429,9 +419,9 @@ def test_chooser_search_counts_its_y_block_from_tables(monkeypatch):
     tables = _calls(monkeypatch, "_table_count")
     best = max_count(instance)
     assert tables
-    bounded = dataclasses.replace(instance, bound=best.achieved)
+    bounded = instance.with_bound(best.achieved)
     assert dmax_decide(bounded) == best == dmax_pruned(bounded)
-    above = dataclasses.replace(instance, bound=best.achieved + 1)
+    above = instance.with_bound(best.achieved + 1)
     assert dmax_decide(above) is None is dmax_pruned(above)
 
 
@@ -465,9 +455,9 @@ def test_seeded_formulas_above_the_table_width_match_the_oracles(n):
             assert threshold_check(f, bound) == _cold(f, bound) == (count >= bound)
         instance = SplitInstance(f, (1, n, 2), tuple(range(3, n)))
         best = max_count(instance)
-        assert dmax_decide(dataclasses.replace(instance, bound=best.achieved)) == best
+        assert dmax_decide(instance.with_bound(best.achieved)) == best
         for bound in (best.achieved, best.achieved + 1):
-            bounded = dataclasses.replace(instance, bound=bound)
+            bounded = instance.with_bound(bound)
             assert dmax_pruned(bounded) == dmax_decide(bounded)
 
 
@@ -576,10 +566,11 @@ def test_caps_still_cut_the_search():
     assert len(capped) < len(exact)
 
 
+@pytest.mark.usefixtures("split_only")
 def test_chooser_literal_is_forced_without_a_split():
     # with x1 and x2 maximized, the literal x2 is forced at x1 and leaves
     # the unit x3 next to Or(x1, x3); a split on x1 first would search the
-    # residue after x1 = False instead
+    # residue after x1 = False instead. Tables off: the root is one table
     node = and_all([Or(X1, X3), X2, Or(Not(X2), X3)])
     memo = {}
     assert count_residue(residue_of(node), 1, 3, memo, None, 2) == 1
@@ -587,10 +578,12 @@ def test_chooser_literal_is_forced_without_a_split():
     assert residue_of(and_all([X2, Or(Not(X2), X3), X3])) not in memo
 
 
+@pytest.mark.usefixtures("split_only")
 def test_capped_chooser_residue_keeps_a_lower_bound():
     # x1 and x2 maximized: under cap 1 the branch x1 = False reaches the
     # cap, and its residue keeps the lower bound 1, stored as -1; a search
-    # under the same cap reads it, and an uncapped one stores the exact value
+    # under the same cap reads it, and an uncapped one stores the exact value.
+    # Tables off: the root is one table, which stores no lower bound
     memo = {}
     assert count_residue(residue_of(And(Or(X1, X3), Or(X2, X3))), 1, 3, memo, 1, 2) == 1
     low = residue_of(And(Or(X2, X3), X3))
@@ -600,6 +593,100 @@ def test_capped_chooser_residue_keeps_a_lower_bound():
     assert memo == entries
     assert count_residue(low, 2, 3, memo, None, 2) == 1
     assert memo[low] == 1
+
+
+def _against_the_reference(instance):
+    # max_count and dmax_pruned against dmax_decide at the best and one
+    # above it, which shows the best is the maximum; returns the best
+    best = max_count(instance)
+    bounded = instance.with_bound(best.achieved)
+    assert dmax_decide(bounded) == best == dmax_pruned(bounded)
+    above = instance.with_bound(best.achieved + 1)
+    assert dmax_decide(above) is None is dmax_pruned(above)
+    return best.achieved
+
+
+# random trees over x_low..x_top under the chooser block x1..xk of a scope:
+# (low, top, k, scope)
+CHOOSER_TABLES = {
+    "top < k": (1, 3, 5, 6),
+    "top == k": (1, 4, 4, 6),
+    "top > k": (1, 6, 3, 8),
+    "above x1, top > k": (3, 8, 4, 9),
+    "above x1, top < k": (2, 4, 6, 6),
+}
+
+
+@pytest.mark.parametrize("shape", CHOOSER_TABLES.values(), ids=CHOOSER_TABLES.keys())
+@at_each_width
+def test_chooser_block_tables_match_the_reference(shape):
+    # a residue starting in the chooser block and spanning at most
+    # TABLE_WIDTH variables is one table, maximized over its chooser
+    # variables; one above top adds no factor two. The value is the
+    # reference's best, and the root's entry is exact under any cap
+    low, top, k, scope = shape
+    rng = random.Random(top * 10 + k)
+    for _ in range(25):
+        node = random_formula(rng, top - low + 1, 14).shift(low - 1).node
+        f = Formula(node, scope)
+        instance = SplitInstance(f, tuple(range(1, k + 1)), tuple(range(k + 1, scope + 1)))
+        best = _against_the_reference(instance)
+        residue = residue_of(node)
+        for cap in (None, 1, best, best + 1):
+            memo = {}
+            value = count_residue(residue, 1, scope, memo, cap, k)
+            assert (value == best) if cap is None or best < cap else (value >= cap)
+            if residue and dmaxsat.counting.TABLE_WIDTH:
+                v = residue[0].min_var
+                assert memo == {residue: best >> max(v - k - 1, 0)}
+
+
+def test_lower_bound_is_replaced_by_the_exact_table_value(monkeypatch):
+    # x1 and x2 maximized: with tables off, cap 1 leaves the lower bound -1
+    # for the root and for the branch x1 = False. With tables on, the same
+    # cap reads the bounds, and a search the bounds do not answer, uncapped
+    # or capped above them, counts the residue from its table and stores
+    # the exact value in place of the bound
+    root = residue_of(And(Or(X1, X3), Or(X2, X3)))
+    low = residue_of(And(Or(X2, X3), X3))
+    memo = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dmaxsat.counting, "TABLE_WIDTH", 0)
+        assert count_residue(root, 1, 3, memo, 1, 2) == 1
+    assert memo[root] == memo[low] == -1
+    tables = _calls(monkeypatch, "_table_count")
+    assert count_residue(root, 1, 3, memo, 1, 2) == 1
+    assert count_residue(low, 2, 3, memo, 1, 2) == 1
+    assert tables == []
+    assert count_residue(low, 2, 3, memo, None, 2) == 1
+    assert memo[low] == 1
+    assert count_residue(root, 1, 3, memo, 2, 2) == 2
+    assert memo[root] == 2
+    assert [args[1:] for args in tables] == [(2, 2, 1), (1, 3, 2)]
+    instance = SplitInstance(Formula(And(Or(X1, X3), Or(X2, X3)), 3), (1, 2), (3,))
+    assert _against_the_reference(instance) == 2
+
+
+@at_each_width
+def test_twelve_choosers_meet_tables_inside_the_block():
+    # |x| = 12 > TABLE_WIDTH over a scope of 14: the root is too wide for a
+    # table, so tables first appear part way down the chooser block, each
+    # maximized over the choosers it spans (none with tables off)
+    f = parse_dimacs(random_3cnf(random.Random(12), 14, 2.0).text())
+    rng = random.Random(12)
+    order = rng.sample(range(1, 15), 14)
+    instance = SplitInstance(f, tuple(order[:12]), tuple(sorted(order[12:])))
+    calls = []
+    real = dmaxsat.counting._table_count
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            dmaxsat.counting, "_table_count", lambda *args: calls.append(args) or real(*args)
+        )
+        best = _against_the_reference(instance)
+    assert best > 0
+    in_block = [(v, m) for _, v, _, m in calls if m > 0]
+    assert bool(in_block) == bool(dmaxsat.counting.TABLE_WIDTH)
+    assert all(1 < v <= 12 for v, _ in in_block)
 
 
 def test_caps_cut_the_chooser_search():
@@ -723,12 +810,12 @@ def test_kept_memo_answers_every_sequence_exactly(fs, data):
         instance = data.draw(st.sampled_from(splits))
         if engine == "max_count":
             best = max_count(instance)
-            bounded = dataclasses.replace(instance, bound=best.achieved)
+            bounded = instance.with_bound(best.achieved)
             assert dmax_decide(bounded) == best
-            assert dmax_decide(dataclasses.replace(bounded, bound=best.achieved + 1)) is None
+            assert dmax_decide(bounded.with_bound(best.achieved + 1)) is None
         else:
             bound = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
-            bounded = dataclasses.replace(instance, bound=bound)
+            bounded = instance.with_bound(bound)
             assert dmax_pruned(bounded) == dmax_decide(bounded)
 
 

@@ -95,3 +95,22 @@ def test_count_and_size_load_only_what_they_run(tmp_path, argv):
     proc = _python(_LOADED, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maxcount", "f.ckt", "x: 1"],
+        ["dmax", "f.ckt", "x: 1", "--bound", "2"],
+        ["dmax", "f.cnf", "x: 2", "--bound", "2", "--engine", "plain"],
+    ],
+    ids=" ".join,
+)
+def test_solver_commands_load_the_solver_and_no_dataclasses(tmp_path, argv):
+    # SplitInstance and Witness are plain slotted classes, so of the modules
+    # count never needs, the solver's commands load only the solver
+    (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
+    (tmp_path / "f.ckt").write_text("(scope 3) (or x1 (and x2 x3))\n")
+    proc = _python(_LOADED, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 ['dmaxsat.solver']"

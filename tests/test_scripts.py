@@ -49,6 +49,26 @@ def test_gadget_growth_prints_the_size_contracts():
         assert psi == 2 * f_size + 2 * n + 6
 
 
+# both lines of scripts/search_digest.py at seeds 1-3: the search-and-memo
+# digest (at table width 0) and the answers-only digest. A change that keeps
+# every search step and every answer leaves them as they are
+DIGESTS = {
+    1: "9b5144ea234ed125e5e9298f584f9b1dae8565b471d75247fd3749b2fd0577c6 "
+    "7dc815903b245535c2d55fa8c0dc6dca523bf681df447fd31146298a627a3ef0",
+    2: "294be03b2a3347829fbc05dee541d3c5b01c364bccfde4ba2b7c2e1920265c16 "
+    "19772efc95306469f06f1cfeee89b38a8d7f359b920ff0314ff0162d7d241c2f",
+    3: "2014605c7657a8274edfaabd00530c124467053fafbc3cd28f22223f84422bfe "
+    "4f2052c6616b0958cd5de113903c8733f5a137884c52c59aadf31a698bc029a5",
+}
+
+
+@pytest.mark.parametrize("seed", DIGESTS)
+def test_search_digests_are_pinned(seed):
+    proc = _run_script("search_digest.py", "--seed", str(seed))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == DIGESTS[seed] + "\n"
+
+
 def test_search_digest_does_not_depend_on_the_hash_seed(monkeypatch):
     outputs = set()
     for hash_seed in ("1", "2"):

@@ -1,7 +1,7 @@
 """Split instances, block parsing, and the decision/maximization engines."""
 
-import dataclasses
 import gc
+import pickle
 import random
 import sys
 import weakref
@@ -81,7 +81,7 @@ def test_count_given_x_rejects_wrong_arity():
 def test_dmax_examples():
     inst = SplitInstance(OR_XY, (1,), (2,), bound=2)
     assert dmax_decide(inst) == Witness((True,), 2)
-    assert dmax_decide(dataclasses.replace(inst, bound=3)) is None
+    assert dmax_decide(inst.with_bound(3)) is None
     assert dmax_decide(SplitInstance(MIXED, (1,), (2, 3), bound=2)) == Witness(
         (True,), 2
     )
@@ -148,6 +148,35 @@ def test_split_instance_validation():
     with pytest.raises(ValueError, match="bound"):
         SplitInstance(OR_XY, (1,), (2,), bound=4)
     SplitInstance(OR_XY, (1,), (2,), bound=3)  # 2**1 + 1 is allowed
+    with pytest.raises(ValueError, match="bound"):
+        SplitInstance(OR_XY, (1,), (2,)).with_bound(-1)
+
+
+def test_split_instance_and_witness_are_immutable_values():
+    inst = SplitInstance(OR_XY, [1], [2])
+    assert inst.x_vars == (1,) and inst.y_vars == (2,) and inst.bound is None
+    bounded = inst.with_bound(2)
+    assert bounded == SplitInstance(OR_XY, (1,), (2,), 2) != inst
+    assert hash(bounded) == hash(SplitInstance(OR_XY, (1,), (2,), 2))
+    assert bounded.with_bound(None) == inst and inst.bound is None
+    assert repr(bounded) == (
+        f"SplitInstance(formula={OR_XY!r}, x_vars=(1,), y_vars=(2,), bound=2)"
+    )
+    witness = Witness((True,), 2)
+    assert witness == Witness((True,), 2) != Witness((False,), 2)
+    assert hash(witness) == hash(Witness((True,), 2))
+    assert repr(witness) == "Witness(values=(True,), achieved=2)"
+    assert witness != (True,) and witness != (witness.values, witness.achieved)
+    assert len({inst, bounded, inst.with_bound(None), witness, Witness((True,), 2)}) == 3
+    for value, field in [(inst, "bound"), (inst, "x_vars"), (witness, "achieved")]:
+        with pytest.raises(AttributeError):
+            setattr(value, field, 1)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    with pytest.raises(AttributeError):
+        inst.extra = 1
+    assert pickle.loads(pickle.dumps(bounded)) == bounded
+    assert pickle.loads(pickle.dumps(witness)) == witness
 
 
 def test_parse_blocks():
@@ -209,7 +238,7 @@ def test_engines_match_oracle_on_random_instances(seed):
     assert (top.values, top.achieved) == (values, achieved)
     drawn = rng.randint(0, (1 << len(instance.y_vars)) + 1)
     for bound in (0, achieved, achieved + 1, drawn):
-        bounded = dataclasses.replace(instance, bound=bound)
+        bounded = instance.with_bound(bound)
         plain = dmax_decide(bounded)
         pruned = dmax_pruned(bounded)
         assert plain == pruned
@@ -231,7 +260,7 @@ def test_shared_subtree_under_unsorted_chooser_block():
     values, achieved = _oracle_best(instance)
     assert max_count(instance) == Witness(values, achieved)
     for bound in range((1 << 3) + 2):
-        bounded = dataclasses.replace(instance, bound=bound)
+        bounded = instance.with_bound(bound)
         plain = dmax_decide(bounded)
         assert dmax_pruned(bounded) == plain
         assert (plain is not None) == (bound <= achieved)
@@ -245,10 +274,10 @@ def test_engines_match_reference_on_cnf(f, data):
     cut = data.draw(st.integers(0, f.scope))
     instance = SplitInstance(f, tuple(order[:cut]), tuple(order[cut:]))
     best = max_count(instance)
-    assert dmax_decide(dataclasses.replace(instance, bound=best.achieved)) == best
+    assert dmax_decide(instance.with_bound(best.achieved)) == best
     drawn = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
     for bound in (0, best.achieved, best.achieved + 1, drawn):
-        bounded = dataclasses.replace(instance, bound=bound)
+        bounded = instance.with_bound(bound)
         plain = dmax_decide(bounded)
         assert dmax_pruned(bounded) == plain
         assert (plain is not None) == (bound <= best.achieved)
@@ -294,7 +323,7 @@ def test_solver_calls_in_any_order_match_the_reference(f, other, data):
         instance = splits[which]
         if decide:
             bound = data.draw(st.integers(0, (1 << len(instance.y_vars)) + 1))
-            bounded = dataclasses.replace(instance, bound=bound)
+            bounded = instance.with_bound(bound)
             assert dmax_pruned(bounded) == _fresh_reference(instance, bound)
         else:
             assert max_count(instance) == _fresh_reference(instance)
@@ -320,8 +349,8 @@ def test_solver_keeps_one_formula_and_still_checks_limits():
     with pytest.raises(ScopeLimitError):
         max_count(instance, limit=0)
     with pytest.raises(ScopeLimitError):
-        dmax_pruned(dataclasses.replace(instance, bound=1), limit=1)
-    assert dmax_pruned(dataclasses.replace(instance, bound=3)) == Witness((True,), 3)
+        dmax_pruned(instance.with_bound(1), limit=1)
+    assert dmax_pruned(instance.with_bound(3)) == Witness((True,), 3)
     # one slot for every engine: a count on another formula frees this memo
     assert count_fast(OR_XY) == 3
     assert sys.getrefcount(node) == refs
@@ -347,9 +376,12 @@ def _restrictions(monkeypatch):
     return calls
 
 
+@pytest.mark.usefixtures("split_only")
 def test_decision_after_max_count_on_an_equal_parse_reads_the_root(monkeypatch):
     # the slot matches an equal but distinct parse with the same blocks, so
-    # deciding one above the maximum is a lookup of the root's exact value
+    # deciding one above the maximum is a lookup of the root's exact value.
+    # Tables are off: under the other chooser block the relabelled root
+    # spans x2..x11, one table, and its search would make no restriction
     f = random_cnf(random.Random(4), 11, 12)
     xs, ys = (2, 5, 7, 9, 11, 1), (3, 4, 6, 8, 10)
     best = max_count(SplitInstance(f, xs, ys))
@@ -365,12 +397,12 @@ def test_decision_after_max_count_on_an_equal_parse_reads_the_root(monkeypatch):
 
 
 @pytest.mark.parametrize("count_first", [True, False])
+@pytest.mark.usefixtures("split_only")
 def test_count_and_empty_chooser_block_share_the_root(monkeypatch, count_first):
     # a max/sum memo over an empty chooser block is a count memo, so after
     # either engine the other's call on an equal parse is a root lookup.
     # Tables are off: the formula spans ten variables, and its root would
     # otherwise be counted from one table by either engine, slot or not
-    monkeypatch.setattr(dmaxsat.counting, "TABLE_WIDTH", 0)
     f = random_cnf(random.Random(4), 10, 10)
     copy = parse_circuit(print_circuit(f))
     count = count_bruteforce(f)
@@ -391,9 +423,12 @@ def test_count_and_empty_chooser_block_share_the_root(monkeypatch, count_first):
     assert calls == []
 
 
+@pytest.mark.usefixtures("split_only")
 def test_selftest_decides_each_copy_on_an_empty_memo(monkeypatch):
     # the solver suite decides an equal copy of each instance after
-    # max_count on the original: each such decision must search from scratch
+    # max_count on the original: each such decision must search from scratch.
+    # Tables are off, so that searching from scratch makes restrictions:
+    # the instance's three variables would otherwise be one table
     instance = SplitInstance(MIXED, (1,), (2, 3))
     calls = _restrictions(monkeypatch)
     cold = []
@@ -440,8 +475,8 @@ def test_deep_chooser_block_is_maximized():
     instance = SplitInstance(chain, tuple(range(1, n)), (n,))
     expected = Witness((False,) * (n - 1), 2)
     assert max_count(instance, limit=n) == expected
-    assert dmax_pruned(dataclasses.replace(instance, bound=2), limit=n) == expected
-    assert dmax_pruned(dataclasses.replace(instance, bound=3), limit=n) is None
+    assert dmax_pruned(instance.with_bound(2), limit=n) == expected
+    assert dmax_pruned(instance.with_bound(3), limit=n) is None
 
 
 def test_monotonicity_in_the_bound():
@@ -450,7 +485,7 @@ def test_monotonicity_in_the_bound():
         instance = random_split_instance(rng, max_total=6)
         best = max_count(instance).achieved
         for bound in range(best + 2):
-            bounded = dataclasses.replace(instance, bound=bound)
+            bounded = instance.with_bound(bound)
             assert (dmax_decide(bounded) is not None) == (bound <= best)
 
 
