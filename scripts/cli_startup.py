@@ -8,11 +8,11 @@ times whole processes, not calls. Each side is a ``src`` directory that
     python scripts/cli_startup.py --parent ../old/src --change src --rounds 21
 
 It writes tiny inputs to a temporary directory and runs ``size``,
-``count``, ``count --bound``, ``combine``, ``maxcount`` and ``dmax`` once
-per side per round, alternating which side goes first. Both sides must
-print the same stdout and exit with the same code, or it exits 1. For each
-command it prints each side's median wall time with its quartiles, and in
-how many rounds the change was faster. ``--importtime`` also prints each
+``count``, ``count --bound``, ``combine``, ``eq2geq``, ``maxcount`` and
+``dmax`` once per side per round, alternating which side goes first. Both
+sides must print the same stdout and exit with the same code, or it exits
+1. For each command it prints each side's median wall time with its
+quartiles, and in how many rounds the change was faster. ``--importtime`` also prints each
 side's slowest imports in one ``count`` run, ranked by self time.
 Standard library only.
 """
@@ -37,6 +37,7 @@ COMMANDS = {
     "count": ["count", "f.cnf"],
     "count --bound": ["count", "f.ckt", "--bound", "12"],
     "combine": ["combine", "f.ckt:13", "g.ckt:4"],
+    "eq2geq": ["eq2geq", "f.ckt", "13"],
     "maxcount": ["maxcount", "f.ckt", "x: 1 2 / y: 3 4"],
     "dmax": ["dmax", "f.ckt", "x: 1 2 / y: 3 4", "--bound", "3"],
 }

@@ -394,12 +394,8 @@ def count_residue(
                 return 0
             run = sorted([(abs(x), x > 0) for x in lits])
             lo = v + (run[0][0] == v)
-            if v > k:
-                shift = len(run) - (lo > v)
-                reach = max(reach, _reach(residue, run[-1][0]))
-            else:
-                shift = len(run) - bisect_right(run, (k, True))
-                reach = scope
+            shift = len(run) - bisect_right(run, (max(k, v), True))
+            reach = max(reach, _reach(residue, run[-1][0])) if v > k else scope
             need = None if cap is None else cap << shift
             fresh = []
             value = yield restrict_residue(residue, run, fresh), lo, need, fresh, reach
@@ -487,11 +483,8 @@ def count_residue(
                 # the cap. In the chooser block the table is maximized over
                 # the chooser variables it spans, and one above top adds
                 # no factor two
-                if v > k:
-                    value = _table_count(residue, v, top - v + 1, 0) << (scope - top)
-                else:
-                    value = _table_count(residue, v, top - v + 1, min(k, top) - v + 1)
-                    value <<= scope - max(top, k)
+                m = max(min(k, top) - v + 1, 0)
+                value = _table_count(residue, v, top - v + 1, m) << (scope - max(top, k))
                 memo[residue] = value
                 value <<= skip
             else:

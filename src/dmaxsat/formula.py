@@ -31,6 +31,9 @@ Trees are rewritten in exactly two ways:
   folds, so shape and size stay exact. :meth:`Formula.shift` uses it to
   place gadget operands on fresh variable blocks, and the solver uses it
   to put the chooser block first.
+
+:class:`Formula` and every other value class of the package derive from one
+immutable record base, :class:`_Record`.
 """
 
 from __future__ import annotations
@@ -349,16 +352,56 @@ def renamed(root: Node, index: Mapping[int, int]) -> Node:
     return done[id(root)]
 
 
-class Formula:
+class _Record:
+    """Base of the package's immutable value records.
+
+    A subclass names its fields in ``__match_args__`` (its ``__slots__`` may
+    also hold ``__weakref__``), and its ``__init__`` checks them and passes
+    them here. A record equals one of its own type with equal fields,
+    hashes, shows and pickles by them, and refuses any setting or deleting.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init__(self, *fields: object) -> None:
+        for name, value in zip(self.__match_args__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__match_args__))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__name__}({shown})"
+
+    def __eq__(self, other: object):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+
+class Formula(_Record):
     """An operator tree together with its declared variable scope.
 
     The scope is explicit rather than inferred from the highest occurring
     variable: counting always ranges over all scope variables, so a scope-3
     formula mentioning only x1 has twice the models of its scope-2 twin.
 
-    Immutable: two formulas are equal when their trees and scopes are, and
-    hash alike then. A plain slotted class rather than a frozen dataclass,
-    so that reading a formula never imports ``dataclasses``.
+    Immutable: a :class:`_Record` on its two fields, so two formulas are
+    equal when their trees and scopes are, and hash alike then.
     """
 
     __slots__ = ("node", "scope", "__weakref__")
@@ -372,28 +415,7 @@ class Formula:
             raise ScopeError(f"scope must be nonnegative, got {scope}")
         if node.max_var > scope:
             raise ScopeError(f"variable x{node.max_var} exceeds declared scope {scope}")
-        object.__setattr__(self, "node", node)
-        object.__setattr__(self, "scope", scope)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), (self.node, self.scope)
-
-    def __repr__(self) -> str:
-        return f"Formula(node={self.node!r}, scope={self.scope!r})"
-
-    def __eq__(self, other: object):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.node, self.scope) == (other.node, other.scope)
-
-    def __hash__(self) -> int:
-        return hash((self.node, self.scope))
+        super().__init__(node, scope)
 
     def size(self) -> int:
         """Number of Boolean operators (not/and/or nodes) in the tree."""

@@ -10,42 +10,39 @@ number of equality claims collapses to one threshold test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .counting import threshold_check
-from .formula import Formula
+from .formula import Formula, _Record
 from .gadgets import k_value, pack_many, psi_gadget
 
 
-@dataclass(frozen=True)
-class EqualityQuery:
+class EqualityQuery(_Record):
     """A claim that ``formula`` has exactly ``claimed`` models over its scope."""
+
+    __slots__ = __match_args__ = ("formula", "claimed")
 
     formula: Formula
     claimed: int
 
-    def __post_init__(self) -> None:
-        top = 1 << self.formula.scope
-        if not 0 <= self.claimed <= top:
-            raise ValueError(
-                f"claimed count {self.claimed} outside [0, 2**{self.formula.scope}]"
-            )
+    def __init__(self, formula: Formula, claimed: int) -> None:
+        if not 0 <= claimed <= 1 << formula.scope:
+            raise ValueError(f"claimed count {claimed} outside [0, 2**{formula.scope}]")
+        super().__init__(formula, claimed)
 
 
-@dataclass(frozen=True)
-class ThresholdQuery:
+class ThresholdQuery(_Record):
     """The canonical counting decision: does count(formula) reach bound?"""
+
+    __slots__ = __match_args__ = ("formula", "bound")
 
     formula: Formula
     bound: int
 
-    def __post_init__(self) -> None:
-        top = (1 << self.formula.scope) + 1
-        if not 0 <= self.bound <= top:
-            raise ValueError(
-                f"bound {self.bound} outside [0, 2**{self.formula.scope} + 1]"
-            )
+    def __init__(self, formula: Formula, bound: int) -> None:
+        if not 0 <= bound <= (1 << formula.scope) + 1:
+            raise ValueError(f"bound {bound} outside [0, 2**{formula.scope} + 1]")
+        super().__init__(formula, bound)
 
 
 def split_target(n: int, y: int) -> tuple[str, int]:
@@ -83,8 +80,7 @@ def eq_to_geq(h: Formula, y: int) -> ThresholdQuery:
     )
 
 
-@dataclass(frozen=True)
-class Collapse:
+class Collapse(_Record):
     """A combined threshold query plus the intermediates that produced it.
 
     ``query`` is the final test; the remaining fields let callers audit the
@@ -92,12 +88,18 @@ class Collapse:
     Y, and the midpoint branch and delta chosen by :func:`eq_to_geq`.
     """
 
+    __slots__ = __match_args__ = ("query", "packed", "digits", "target", "branch", "delta")
+
     query: ThresholdQuery
     packed: Formula
     digits: tuple[int, ...]
     target: int
     branch: str
     delta: int
+
+    def __init__(self, query: ThresholdQuery, packed: Formula, digits: tuple[int, ...],
+                 target: int, branch: str, delta: int) -> None:
+        super().__init__(query, packed, digits, target, branch, delta)
 
 
 def combine_equalities(queries: Sequence[EqualityQuery]) -> Collapse:

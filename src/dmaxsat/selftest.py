@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .counting import count_bruteforce, count_fast, threshold_check
 from .formats import parse_circuit, print_circuit
-from .formula import TRUE, And, Formula, Not, Or
+from .formula import TRUE, And, Formula, Not, Or, _Record
 from .gadgets import k_value, less_than_const, pack_many, pack_pair, psi_gadget, unpack_digits
 from .generate import random_cnf, random_formula, random_split_instance
 from .reduction import EqualityQuery, ThresholdQuery, combine_equalities, eq_to_geq
@@ -32,11 +31,17 @@ from .reduction import split_target, verify_threshold
 from .solver import SplitInstance, Witness, count_given_x, dmax_decide, dmax_pruned, max_count
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(_Record):
+    """A suite's name, the cases it ran and its failure report, if any."""
+
+    __slots__ = __match_args__ = ("name", "cases", "failure")
+
     name: str
     cases: int
-    failure: str | None = None
+    failure: str | None
+
+    def __init__(self, name: str, cases: int, failure: str | None = None) -> None:
+        super().__init__(name, cases, failure)
 
     @property
     def ok(self) -> bool:

@@ -43,44 +43,7 @@ from .counting import (
     residue_of,
     restrict_residue,
 )
-from .formula import Formula, Node, renamed
-
-
-class _Record:
-    # an immutable record, equal, hashed, pickled and shown by the fields
-    # that its class names in __slots__: a plain slotted class rather than
-    # a frozen dataclass, so that the solver's commands never import
-    # dataclasses
-
-    __slots__ = ()
-
-    def __init__(self, *fields: object) -> None:
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
-        return f"{type(self).__name__}({shown})"
-
-    def __eq__(self, other: object):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
+from .formula import Formula, Node, _Record, renamed
 
 
 class SplitInstance(_Record):

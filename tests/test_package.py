@@ -107,10 +107,46 @@ def test_count_and_size_load_only_what_they_run(tmp_path, argv):
     ids=" ".join,
 )
 def test_solver_commands_load_the_solver_and_no_dataclasses(tmp_path, argv):
-    # SplitInstance and Witness are plain slotted classes, so of the modules
-    # count never needs, the solver's commands load only the solver
+    # SplitInstance and Witness are records (dmaxsat.formula._Record), so of
+    # the modules count never needs, the solver's commands load only the solver
     (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     (tmp_path / "f.ckt").write_text("(scope 3) (or x1 (and x2 x3))\n")
     proc = _python(_LOADED, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 ['dmaxsat.solver']"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["combine", "f.ckt:5", "f.ckt:4"],
+        ["eq2geq", "f.ckt", "5"],
+        ["pack", "f.ckt", "f.ckt"],
+        ["psi", "f.ckt", "--delta", "1"],
+        ["mkless", "3", "5"],
+        ["selftest", "--budget", "0"],
+    ],
+    ids=" ".join,
+)
+def test_record_building_commands_load_no_dataclasses(tmp_path, argv):
+    # every value class is a record (dmaxsat.formula._Record), not a dataclass
+    (tmp_path / "f.ckt").write_text("(scope 3) (or x1 (and x2 x3))\n")
+    proc = _python(_LOADED, *argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert "'dataclasses'" not in loaded and "'inspect'" not in loaded, loaded
+
+
+def test_importing_every_submodule_loads_no_dataclasses():
+    proc = _python("""
+        import sys
+
+        before = set(sys.modules)
+        import dmaxsat
+
+        for name in sorted(dmaxsat._SUBMODULES):
+            getattr(dmaxsat, name)
+        print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules and m not in before))
+    """)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -1,5 +1,6 @@
 """Equality-to-threshold rewriting and multi-claim collapsing."""
 
+import pickle
 import random
 
 import pytest
@@ -23,7 +24,8 @@ from dmaxsat import (
     verify_threshold,
 )
 from dmaxsat.generate import random_formula
-from dmaxsat.selftest import expected_psi_size
+from dmaxsat.reduction import Collapse
+from dmaxsat.selftest import SuiteResult, expected_psi_size
 
 from strategies import formulas
 
@@ -131,6 +133,44 @@ def test_threshold_query_validates_bound():
         ThresholdQuery(OR2, 6)
     with pytest.raises(ValueError, match="bound"):
         ThresholdQuery(OR2, -1)
+
+
+_OR2_TEXT = "Formula(node=Or(x1, x2), scope=2)"
+
+
+@pytest.mark.parametrize(
+    "cls,fields,change,shown",
+    [
+        (EqualityQuery, {"formula": OR2, "claimed": 3}, {"claimed": 2},
+         f"EqualityQuery(formula={_OR2_TEXT}, claimed=3)"),
+        (ThresholdQuery, {"formula": OR2, "bound": 4}, {"formula": AND2},
+         f"ThresholdQuery(formula={_OR2_TEXT}, bound=4)"),
+        (Collapse,
+         {"query": ThresholdQuery(OR2, 4), "packed": OR2, "digits": (3,), "target": 3,
+          "branch": "high", "delta": 1},
+         {"branch": "low"},
+         f"Collapse(query=ThresholdQuery(formula={_OR2_TEXT}, bound=4), "
+         f"packed={_OR2_TEXT}, digits=(3,), target=3, branch='high', delta=1)"),
+        (SuiteResult, {"name": "pair-law", "cases": 3}, {"failure": "  f = x1"},
+         "SuiteResult(name='pair-law', cases=3, failure=None)"),
+    ],
+    ids=["EqualityQuery", "ThresholdQuery", "Collapse", "SuiteResult"],
+)
+def test_records_are_immutable_values(cls, fields, change, shown):
+    # built by keyword as by position, and shown as the dataclasses they were
+    record, other = cls(**fields), cls(**{**fields, **change})
+    assert record == cls(*fields.values()) != other
+    assert hash(record) == hash(cls(**fields))
+    assert repr(record) == shown
+    values = tuple(getattr(record, name) for name in cls.__match_args__)
+    assert record != values and values != record
+    assert len({record, cls(**fields), other}) == 2
+    for name in (*cls.__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_verify_threshold_basics():

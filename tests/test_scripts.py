@@ -87,8 +87,8 @@ def test_cli_startup_times_both_sides_and_checks_their_output():
     )
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()
-    commands = ["size", "count", "count --bound", "combine", "maxcount", "dmax"]
-    for command, row in zip(commands, rows[1:7]):
+    commands = ["size", "count", "count --bound", "combine", "eq2geq", "maxcount", "dmax"]
+    for command, row in zip(commands, rows[1:8]):
         assert re.fullmatch(
             re.escape(command) + r" +(\d+\.\d \[\d+\.\d, \d+\.\d\] +){2}[01]/1", row
         ), row
