@@ -21,15 +21,14 @@ conjuncts, none of them an ``And`` or free of variables, sorted by
 variables and shares every conjunct that cannot mention them. Each residue
 is searched by one generator that yields its children, and an outer loop
 keeps the open generators on an explicit stack, so the search itself does
-not recurse. Node hashes ignore shifts (see :mod:`dmaxsat.formula`), so a
-search can read a finished independent sub-search that it meets again at
-another offset, as the mirror of :func:`dmaxsat.gadgets.psi_gadget`
-repeats its operand: the component cache of sharpSAT (Thurley, SAT 2006),
-modulo a shift. Memo lookups compare residues with ``Node.__eq__``, one
-walk on an explicit stack. A truth table is an integer of 2**w bits, one
-per assignment of the residue's w variables, so one C-level ``&``, ``|``
-or ``^`` evaluates an operator on all of them at once and
-``int.bit_count`` counts the models; its walk is on an explicit stack too.
+not recurse. A complement's child and each part of a component are
+residues of their own, so every search reads and fills one memo: the
+component cache of sharpSAT (Thurley, SAT 2006). Memo lookups compare
+residues with ``Node.__eq__``, one walk on an explicit stack. A truth
+table is an integer of 2**w bits, one per assignment of the residue's w
+variables, so one C-level ``&``, ``|`` or ``^`` evaluates an operator on
+all of them at once and ``int.bit_count`` counts the models; its walk is
+on an explicit stack too.
 With the lowest variables of a table maximized, each pattern of its low
 bits is read through one shift and one ``&`` with a stride mask, and the
 largest ``bit_count`` is the value. A truth table is the smallest of the
@@ -62,7 +61,7 @@ from functools import cache
 from operator import attrgetter
 from typing import Callable, Generator, Sequence
 
-from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var, shifted
+from .formula import FALSE, TRUE, And, Formula, Node, Not, Or, Var
 
 DEFAULT_LIMIT = 24
 
@@ -339,40 +338,7 @@ def count_residue(
     the cap. The start of its last conjunct, ``residue[-1].min_var``,
     rejects most wide residues before the maximum over its conjuncts is
     taken.
-
-    Each call also owns a table, freed when it returns, of the searches
-    that start apart from their parent above the chooser block: the child
-    of a complement and each part of a component. It is keyed by a
-    residue's length, its width ``max_var - min_var`` and its hash, which
-    ignores shifts, and holds one residue with its exact count over
-    ``min_var..max_var``. A part whose key matches is checked against that
-    residue, moved by one offset, conjunct by conjunct with
-    :func:`dmaxsat.formula.shifted`, the walk of ``Node.__eq__``; when it
-    matches, the count is scaled to the part's place and no search runs, so
-    ``memo`` gets no entry for the part.
     """
-
-    # a finished independent search by (length, width, hash): a residue
-    # and its value over its own min_var..max_var; hashes ignore shifts
-    apart: dict[tuple[int, int, int], tuple[Residue, int]] = {}
-
-    def independent(
-        part: Residue, cap: int | None, fresh: list[Node] | None, reach: int
-    ) -> Generator[tuple, int, int]:
-        # the value over part's own lowest variable..scope of a complement's
-        # child or a component's part, above the chooser block: read from
-        # apart when a shifted copy was searched exactly, else searched
-        low, top = part[0].min_var, max(map(_MAX, part))
-        key = len(part), top - low, hash(part)
-        seen = apart.get(key)
-        if seen is not None:
-            offset = low - seen[0][0].min_var
-            if all(shifted(x, y, offset) for x, y in zip(seen[0], part)):
-                return seen[1] << (scope - top)
-        value = yield part, low, cap, fresh, reach
-        if cap is None or value < cap:
-            apart[key] = part, value >> (scope - top)
-        return value
 
     def search(
         residue: Residue, v: int, cap: int | None, fresh: list[Node] | None, reach: int
@@ -420,21 +386,21 @@ def count_residue(
                     return value
         elif i := _boundary(residue, reach):
             # component: a prefix whose variables all lie below the next
-            # conjunct's is counted apart, and the value is the product of
-            # the two parts; the second is capped at the cap over the first
-            value = yield from independent(residue[:i], None, [], 0)
+            # conjunct's and the rest are searched as two residues, and the
+            # value is their product; the second is capped at the cap over
+            # the first
+            value = yield residue[:i], v, None, [], 0
             if value:
                 b = residue[i].min_var
                 first = value >> (scope - b + 1)
                 rest = None if cap is None else -(-cap // first)
-                value = first * (yield from independent(residue[i:], rest, [], scope))
+                value = first * (yield residue[i:], b, rest, [], scope)
             if cap is not None and value >= cap:
                 return value  # a product that reaches its cap is not exact
         elif len(residue) == 1 and type(residue[0]) is Not:
             # complement: a single Not(X) has 2**(scope - v + 1) minus the
             # value of X, searched uncapped: a bound on X bounds no complement
-            child = residue_of(residue[0].child)
-            inner = 0 if child is None else (yield from independent(child, None, None, scope))
+            inner = yield residue_of(residue[0].child), v, None, None, scope
             value = (1 << (scope - v + 1)) - inner
         else:
             # sum split, False before True, on the top variable of a lone Or

@@ -9,13 +9,11 @@ Trees may share immutable subtrees: a parse shares each atom's node, and
 rewriting returns untouched subtrees as they are. Size and equality are
 still those of the tree written out in full.
 
-Hashes ignore where a tree sits: a tree and its copy moved by
-:meth:`Formula.shift` hash alike, while equality still tells them apart.
-The counter uses this to find a finished sub-search again at another
-offset, as in the mirror that :func:`dmaxsat.gadgets.psi_gadget` builds.
-Equality and that copy's check are one walk, :func:`shifted`, on an
-explicit stack, so trees of any depth compare; only :meth:`Node.restrict`
-and :meth:`Node.eval_mask` recurse.
+Hashes hold no variable index, so a tree and its copy moved by
+:meth:`Formula.shift` hash alike, while equality tells them apart. Only
+sort orders and dict buckets read hashes. Equality is one walk,
+``Node.__eq__``, on an explicit stack, so trees of any depth compare; only
+:meth:`Node.restrict` and :meth:`Node.eval_mask` recurse.
 
 Size means the number of Boolean operators (not/and/or nodes); variables and
 constants are free. Gadget constructors build fixed right-folded shapes and
@@ -56,9 +54,9 @@ class Node:
     string-hash seed, and so is every order that sorts by it: a tag per node
     type, and for ``And`` and ``Or`` the children's hashes and the gap
     between their lowest variables. No hash holds a variable index, so
-    shifting every index by one offset keeps every hash. Equality stays
-    absolute: it compares type, hash and ``min_var``, and then an operator
-    by :func:`shifted` at offset 0.
+    shifting every index by one offset keeps every hash; only sort orders
+    and dict buckets read them. Equality stays absolute: it compares type,
+    hash and ``min_var`` at every pair of nodes in one walk.
     """
 
     __slots__ = ("hash_", "ops", "min_var", "max_var")
@@ -72,14 +70,29 @@ class Node:
         return self.hash_
 
     def __eq__(self, other: object) -> bool:
-        # an equal min_var fixes a Var and an equal hash a constant, so only
-        # operators need the walk
-        return self is other or (
-            type(other) is type(self)
-            and other.hash_ == self.hash_
-            and other.min_var == self.min_var
-            and (not self.ops or shifted(self, other, 0))
-        )
+        # one walk over both trees on an explicit stack, so any depth is
+        # safe. Equal types, hashes and min_vars at every pair are the
+        # test: an equal min_var fixes a Var and an equal hash a constant.
+        # The walk goes down left children and stacks the right pairs; a
+        # subtree that both share is equal without a walk
+        stack: list[tuple[Node, Node]] = []
+        x, y = self, other
+        while True:
+            if x is not y:
+                kind = type(x)
+                if type(y) is not kind or y.hash_ != x.hash_ or y.min_var != x.min_var:
+                    return False
+                if kind is Not:
+                    x, y = x.child, y.child
+                    continue
+                if kind is And or kind is Or:
+                    if x.right is not y.right:
+                        stack.append((x.right, y.right))
+                    x, y = x.left, y.left
+                    continue
+            if not stack:
+                return True
+            x, y = stack.pop()
 
     def eval_mask(self, mask: int) -> bool:
         """Truth value under the assignment whose bit i-1 is variable i."""
@@ -255,40 +268,6 @@ class Or(_Binary):
         if left is self.left and right is self.right:
             return self
         return Or(left, right)
-
-
-def shifted(a: Node, b: Node, offset: int) -> bool:
-    """Whether ``b`` is ``a`` with every variable index moved by ``offset``.
-
-    With ``offset`` 0 this is equality. One walk over both trees on an
-    explicit stack, so any depth is safe. Equal types and hashes at every
-    pair are a quick test; the leaves decide, a ``Var`` by its moved index
-    and a constant by its hash. At offset 0 a subtree that both share is
-    equal without a walk.
-    """
-    # the walk goes down left children and stacks right pairs not shared
-    stack: list[tuple[Node, Node]] = []
-    x, y = a, b
-    while True:
-        if x is not y or offset:
-            kind = type(x)
-            if (
-                type(y) is not kind
-                or y.hash_ != x.hash_
-                or x.min_var and y.min_var - x.min_var != offset
-            ):
-                return False
-            if kind is Not:
-                x, y = x.child, y.child
-                continue
-            if kind is And or kind is Or:
-                if x.right is not y.right or offset:
-                    stack.append((x.right, y.right))
-                x, y = x.left, y.left
-                continue
-        if not stack:
-            return True
-        x, y = stack.pop()
 
 
 def and_all(nodes: Iterable[Node]) -> Node:

@@ -4,7 +4,7 @@ import gc
 import random
 import sys
 import weakref
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import pytest
@@ -39,7 +39,6 @@ from dmaxsat import (
 
 import dmaxsat.counting
 from dmaxsat.counting import _decision, count_residue, residue_of
-from dmaxsat.formula import shifted
 from dmaxsat.generate import random_formula
 
 from strategies import (
@@ -488,49 +487,59 @@ def _forge(node, like):
     return node
 
 
-@pytest.mark.parametrize("forged", [False, True], ids=["hashed", "forged hashes"])
-@pytest.mark.parametrize("name", NEAR_MISSES)
-@pytest.mark.usefixtures("split_only")
-def test_only_a_shifted_copy_is_read_from_the_table(name, forged):
-    # And(f, Not(g)): the part f is searched first, and the complement's
-    # child g is read from the table, leaving no memo key, only when g is f
-    # shifted; near misses are searched, and every count stays exact
+def _beside_its_complement(name, forged):
+    # And(f, Not(g)): the parts f and Not(g), and the complement's child g;
+    # forged hashes make g collide with f in the memo's dict buckets
     build, copy = NEAR_MISSES[name]
     g = _forge(build(), SHIFTED) if forged else build()
-    assert shifted(SHIFTED, g, 3) == copy
-    node = And(SHIFTED, Not(g))
-    memo = _searched(node, 7)
-    assert residue_of(SHIFTED) in memo
-    assert (residue_of(g) not in memo) == copy
-    count = count_bruteforce(Formula(node, 7))
-    assert threshold_check(Formula(node, 7), count)
-    assert not threshold_check(Formula(node, 7), count + 1)
+    assert (g == Formula(SHIFTED, 3).shift(3).node) == copy
+    return And(SHIFTED, Not(g)), 7, [(SHIFTED,), (Not(g),), (g,)]
 
 
-@pytest.mark.usefixtures("split_only")
-def test_capped_part_reads_an_exact_entry():
-    # the second part of a component is capped; its exact count, stored
-    # under the first part's shifted copy, answers it
+def _beside_its_copy():
+    # the parts f and its copy on x4..x6
     copy = Formula(SHIFTED, 3).shift(3).node
-    node = And(SHIFTED, copy)
-    count = count_bruteforce(Formula(node, 6))
-    for cap in (count, count + 1):
-        memo = {}
-        assert count_residue(residue_of(node), 1, 6, memo, cap) == count
-        assert residue_of(copy) not in memo
+    return And(SHIFTED, copy), 6, [(SHIFTED,), (copy,)]
 
 
-@pytest.mark.usefixtures("split_only")
-def test_psi_mirror_is_read_from_the_table():
-    # psi holds its operand on x1..x3 and the mirror on x4..x6 under Not:
-    # the mirror's residue is never searched, so the memo has no key for it
+def _psi(delta):
+    # the parts f and the selector's Or, and the complement's child: the
+    # mirror of f on x4..x6
     f = Formula(SHIFTED, 3)
-    mirror = residue_of(f.shift(3).node)
-    for delta in range(5):
-        psi = psi_gadget(f, delta)
-        memo = _searched(psi.node, psi.scope)
-        assert residue_of(SHIFTED) in memo
-        assert mirror not in memo
+    psi = psi_gadget(f, delta)
+    return psi.node, psi.scope, [(SHIFTED,), (psi.node.right,), (f.shift(3).node,)]
+
+
+ONE_MEMO_CASES = {
+    **{
+        f"{name}-{'forged hashes' if forged else 'hashed'}": partial(
+            _beside_its_complement, name, forged
+        )
+        for name in NEAR_MISSES
+        for forged in (False, True)
+    },
+    "beside its copy": _beside_its_copy,
+    **{f"psi delta {delta}": partial(_psi, delta) for delta in range(5)},
+}
+
+
+@pytest.mark.parametrize("case", ONE_MEMO_CASES.values(), ids=ONE_MEMO_CASES)
+@pytest.mark.usefixtures("split_only")
+def test_one_memo_holds_copies_and_near_misses(case):
+    # every complement's child and component part is searched as a residue
+    # of the one memo, a shifted copy too, and every count stays exact,
+    # capped or not
+    node, scope, parts = case()
+    f = Formula(node, scope)
+    count = count_bruteforce(f)
+    assert count_fast(f) == count
+    assert threshold_check(f, count)
+    assert not threshold_check(f, count + 1)
+    for cap in (count, count + 1):
+        assert count_residue(residue_of(node), 1, scope, {}, cap) == count
+    memo = _searched(node, scope)
+    for part in parts:
+        assert part in memo
 
 
 @settings(max_examples=60)
@@ -539,7 +548,7 @@ def test_psi_mirror_is_read_from_the_table():
 def test_shifted_copies_count_and_threshold_match_bruteforce(f, data):
     # a formula beside its shifted copy or its complement, the psi gadget
     # at a drawn delta, and pack_many with repeated operands all meet
-    # shifted copies of one residue, read from the table after the first
+    # shifted copies of one residue, whose hashes collide in the memo
     n = f.scope
     copy = f.shift(n).node
     repeated = data.draw(st.lists(st.sampled_from([f, f.negate()]), min_size=2, max_size=3))

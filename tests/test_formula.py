@@ -28,7 +28,7 @@ from dmaxsat import (
     print_circuit,
 )
 import dmaxsat
-from dmaxsat.formula import _Const, shifted
+from dmaxsat.formula import _Const
 
 from strategies import deep_formulas, formulas
 
@@ -228,33 +228,30 @@ def _replaced(node, path, leaf):
     return type(node)(left, right)
 
 
-@given(
-    formulas(min_scope=1, max_scope=6) | deep_formulas(max_scope=6, max_depth=60),
-    st.integers(0, 5),
-    st.data(),
-)
-def test_shifted_confirms_a_shift_and_refuses_a_near_miss(f, offset, data):
-    g = f.shift(offset).node
-    assert shifted(f.node, g, offset)
-    if f.node.min_var:
-        assert not shifted(f.node, g, offset + 1)
-    leaves, stack = [], [(g, ())]
+@given(formulas(max_scope=6) | deep_formulas(max_scope=6, max_depth=60), st.data())
+def test_equality_confirms_a_copy_and_refuses_a_near_miss(f, data):
+    # a fresh copy of the tree equals it; the tree with one leaf replaced
+    # (by a gap, a literal or a constant) does not
+    node = f.node
+    copy = parse_circuit(print_circuit(f)).node
+    assert copy == node and node == copy
+    leaves, stack = [], [(node, ())]
     while stack:
-        node, path = stack.pop()
-        if type(node) is Not:
-            stack.append((node.child, path + ("child",)))
-        elif type(node) in (And, Or):
-            stack += ((node.left, path + ("left",)), (node.right, path + ("right",)))
+        x, path = stack.pop()
+        if type(x) is Not:
+            stack.append((x.child, path + ("child",)))
+        elif type(x) in (And, Or):
+            stack += ((x.left, path + ("left",)), (x.right, path + ("right",)))
         else:
-            leaves.append((node, path))
+            leaves.append((x, path))
     leaf, path = data.draw(st.sampled_from(leaves))
     if type(leaf) is Var:
-        # one gap, one literal, one constant
         misses = [Var(leaf.index + 1), Not(leaf), TRUE]
     else:
         misses = [Var(1), FALSE if leaf is TRUE else TRUE]
     for miss in misses:
-        assert not shifted(f.node, _replaced(g, path, miss), offset)
+        assert _replaced(copy, path, miss) != node
+        assert not node == _replaced(copy, path, miss)
 
 
 def test_deep_trees_compare_by_one_walk():
@@ -263,7 +260,6 @@ def test_deep_trees_compare_by_one_walk():
     for _ in range(100_000):
         a, b = Not(a), Not(b)
     assert a is not b and a == b and not a != b
-    assert shifted(a, Formula(b, 2).shift(3).node, 3)
 
 
 def test_fold_helpers():

@@ -53,11 +53,11 @@ def test_gadget_growth_prints_the_size_contracts():
 # digest (at table width 0) and the answers-only digest. A change that keeps
 # every search step and every answer leaves them as they are
 DIGESTS = {
-    1: "9b5144ea234ed125e5e9298f584f9b1dae8565b471d75247fd3749b2fd0577c6 "
+    1: "f3ad7f7b68d2067521860ff96d24a6663796c74063b1047d7dd9b524c2a83b72 "
     "7dc815903b245535c2d55fa8c0dc6dca523bf681df447fd31146298a627a3ef0",
-    2: "294be03b2a3347829fbc05dee541d3c5b01c364bccfde4ba2b7c2e1920265c16 "
+    2: "99434eb1fe23cdada6492aee43bf88cbf0359769b93af82aec8d2e2efcc1da37 "
     "19772efc95306469f06f1cfeee89b38a8d7f359b920ff0314ff0162d7d241c2f",
-    3: "2014605c7657a8274edfaabd00530c124467053fafbc3cd28f22223f84422bfe "
+    3: "42bac37eb3212f9766afd96deef977ea8562b86553440bf5ff43714112b8b52c "
     "4f2052c6616b0958cd5de113903c8733f5a137884c52c59aadf31a698bc029a5",
 }
 
