@@ -3,13 +3,13 @@ solving, and randomized self-verification.
 
 Counts print in full decimal at any length, gadget subcommands emit
 canonical circuit text plus one JSON audit line, and identical invocations
-produce identical stdout (selftest included, given a seed). A command that
-meets the recursion limit runs again in a worker thread with a raised
-limit, so a variable deep inside a tree is still set. Exit codes: 0
-success (and a "yes" dmax verdict), 1 a "no" dmax verdict or failed
-selftest, 2 bad input, 3 enumeration limit exceeded, 4 internal failure
-(any other exception, for example the recursion limit on input deeper
-than that), reported as one ``error: internal failure: ...`` line on
+produce identical stdout (selftest included, given a seed). Input of any
+depth is answered in process at the interpreter's recursion limit: each
+tree walk of :mod:`dmaxsat.formula` that recurses falls back to an
+explicit stack when it meets that limit. Exit codes: 0 success (and a
+"yes" dmax verdict), 1 a "no" dmax verdict or failed selftest, 2 bad
+input, 3 enumeration limit exceeded, 4 internal failure (any other
+exception), reported as one ``error: internal failure: ...`` line on
 stderr instead of a traceback.
 
 Each command imports only the modules it runs: the top of this module
@@ -330,31 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _handle(args) -> RunReport:
-    """The command's report. A command that meets the recursion limit
-    (``Node.restrict`` and ``Node.eval_mask`` recurse) runs once more in one
-    worker thread whose 256 MB stack holds a limit of 200000; commands write
-    only once they are done."""
-    try:
-        return args.handler(args)
-    except RecursionError:
-        pass  # run again below, once this stack has unwound
-    import threading  # only deep input needs these
-    from concurrent.futures import ThreadPoolExecutor
-
-    depth, stack = sys.getrecursionlimit(), threading.stack_size(256 << 20)
-    try:
-        sys.setrecursionlimit(200_000)
-        with ThreadPoolExecutor(1) as pool:
-            return pool.submit(args.handler, args).result()
-    finally:
-        sys.setrecursionlimit(depth)
-        threading.stack_size(stack)
-
-
 def _run(args) -> int:
     try:
-        report = _handle(args)
+        report = args.handler(args)
     except ScopeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -373,7 +351,7 @@ def _run(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code, with the int/str digit cap
-    lifted; the cap, recursion limit and stack size are restored on return."""
+    lifted; the cap is restored on return."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
     try:
         if digits is not None:

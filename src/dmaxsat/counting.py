@@ -34,12 +34,10 @@ bits is read through one shift and one ``&`` with a stride mask, and the
 largest ``bit_count`` is the value. A truth table is the smallest of the
 compiled forms that exact E-MAJSAT solvers maximize over (Pipatsrisawat &
 Darwiche, IJCAI 2009).
-Only :meth:`Node.restrict` and :meth:`Node.eval_mask` recurse, and the
-search calls ``restrict`` down to the variable it sets. A deep tree is safe
-when the search sets only variables near its top, as it does on a
-comparator chain, or when it is narrow enough for one table, and may meet
-the recursion limit otherwise, as when the solver sets a chooser at the
-bottom of a deep ``not`` nest.
+A tree of any depth is counted in process: :meth:`Node.restrict` and
+:meth:`Node.eval_mask` take any depth, and a restriction deep in a tree
+may leave constants inside a conjunct, which the search reads as it reads
+any constant.
 :func:`threshold_check` runs the search capped at the bound, and the
 chooser solver with its chooser block 1..k maximized instead of summed.
 Inside that block the search still forces literals and reads narrow

@@ -11,9 +11,10 @@ still those of the tree written out in full.
 
 Hashes hold no variable index, so a tree and its copy moved by
 :meth:`Formula.shift` hash alike, while equality tells them apart. Only
-sort orders and dict buckets read hashes. Equality is one walk,
-``Node.__eq__``, on an explicit stack, so trees of any depth compare; only
-:meth:`Node.restrict` and :meth:`Node.eval_mask` recurse.
+sort orders and dict buckets read hashes. Depth is handled here alone:
+equality is one walk, ``Node.__eq__``, on an explicit stack, and
+:meth:`Node.restrict` and :meth:`Node.eval_mask` recurse, with a walk on
+an explicit stack when they meet the recursion limit.
 
 Size means the number of Boolean operators (not/and/or nodes); variables and
 constants are free. Gadget constructors build fixed right-folded shapes and
@@ -24,8 +25,9 @@ Trees are rewritten in exactly two ways:
 * Restriction, :meth:`Node.restrict`, sets one variable to a constant and
   folds the constants this introduces. The splitting counter and the
   chooser solver call it once per variable they fix; a subtree that does
-  not mention the variable comes back as the same object.
-* Renaming, :func:`renamed`, moves variables to new indices and never
+  not mention the variable comes back as the same object. Past the
+  recursion limit it folds nothing.
+* Renaming, :func:`renamed`, replaces variables by given nodes and never
   folds, so shape and size stay exact. :meth:`Formula.shift` uses it to
   place gadget operands on fresh variable blocks, and the solver uses it
   to put the chooser block first.
@@ -95,16 +97,42 @@ class Node:
             x, y = stack.pop()
 
     def eval_mask(self, mask: int) -> bool:
-        """Truth value under the assignment whose bit i-1 is variable i."""
-        raise NotImplementedError
+        """Truth value under the assignment whose bit i-1 is variable i; past
+        the recursion limit, by one short-circuit walk on an explicit stack."""
+        try:
+            return self._eval(mask)
+        except RecursionError:
+            pass
+        # a node on the stack waits for its child's value: a Not negates it,
+        # and an And or Or whose left child does not decide it takes its
+        # right child's value, so it leaves the stack then
+        node, stack = self, []
+        while True:
+            while node.ops:
+                stack.append(node)
+                node = node.child if type(node) is Not else node.left
+            value = node._eval(mask)
+            while stack:
+                node = stack.pop()
+                if type(node) is Not:
+                    value = not value
+                elif value == (type(node) is And):
+                    node = node.right
+                    break
+            else:
+                return value
 
     def restrict(self, var: int, value: bool) -> "Node":
         """Substitute one variable by a constant and fold constants away.
 
         Count-preserving over any scope: the substituted variable simply no
-        longer occurs. Used by the splitting counter.
+        longer occurs. Used by the splitting counter. Past the recursion
+        limit the result is :func:`renamed` instead, which folds nothing.
         """
-        raise NotImplementedError
+        try:
+            return self._restrict(var, value)
+        except RecursionError:
+            return renamed(self, {var: TRUE if value else FALSE})
 
 
 class _Const(Node):
@@ -120,10 +148,10 @@ class _Const(Node):
     def __repr__(self) -> str:
         return "TRUE" if self.value else "FALSE"
 
-    def eval_mask(self, mask: int) -> bool:
+    def _eval(self, mask: int) -> bool:
         return self.value
 
-    def restrict(self, var: int, value: bool) -> Node:
+    def _restrict(self, var: int, value: bool) -> Node:
         return self
 
 
@@ -148,10 +176,10 @@ class Var(Node):
     def __repr__(self) -> str:
         return f"x{self.index}"
 
-    def eval_mask(self, mask: int) -> bool:
+    def _eval(self, mask: int) -> bool:
         return bool((mask >> (self.index - 1)) & 1)
 
-    def restrict(self, var: int, value: bool) -> Node:
+    def _restrict(self, var: int, value: bool) -> Node:
         if var != self.index:
             return self
         return TRUE if value else FALSE
@@ -172,13 +200,13 @@ class Not(Node):
     def __repr__(self) -> str:
         return f"Not({self.child!r})"
 
-    def eval_mask(self, mask: int) -> bool:
-        return not self.child.eval_mask(mask)
+    def _eval(self, mask: int) -> bool:
+        return not self.child._eval(mask)
 
-    def restrict(self, var: int, value: bool) -> Node:
+    def _restrict(self, var: int, value: bool) -> Node:
         if var < self.min_var or var > self.max_var:
             return self
-        child = self.child.restrict(var, value)
+        child = self.child._restrict(var, value)
         if child is self.child:
             return self
         if child is TRUE:
@@ -222,16 +250,16 @@ class And(_Binary):
     __slots__ = ()
     tag = 3
 
-    def eval_mask(self, mask: int) -> bool:
-        return self.left.eval_mask(mask) and self.right.eval_mask(mask)
+    def _eval(self, mask: int) -> bool:
+        return self.left._eval(mask) and self.right._eval(mask)
 
-    def restrict(self, var: int, value: bool) -> Node:
+    def _restrict(self, var: int, value: bool) -> Node:
         if var < self.min_var or var > self.max_var:
             return self
-        left = self.left.restrict(var, value)
+        left = self.left._restrict(var, value)
         if left is FALSE:
             return FALSE
-        right = self.right.restrict(var, value)
+        right = self.right._restrict(var, value)
         if right is FALSE:
             return FALSE
         if left is TRUE:
@@ -249,16 +277,16 @@ class Or(_Binary):
     __slots__ = ()
     tag = 4
 
-    def eval_mask(self, mask: int) -> bool:
-        return self.left.eval_mask(mask) or self.right.eval_mask(mask)
+    def _eval(self, mask: int) -> bool:
+        return self.left._eval(mask) or self.right._eval(mask)
 
-    def restrict(self, var: int, value: bool) -> Node:
+    def _restrict(self, var: int, value: bool) -> Node:
         if var < self.min_var or var > self.max_var:
             return self
-        left = self.left.restrict(var, value)
+        left = self.left._restrict(var, value)
         if left is TRUE:
             return TRUE
-        right = self.right.restrict(var, value)
+        right = self.right._restrict(var, value)
         if right is TRUE:
             return TRUE
         if left is FALSE:
@@ -292,8 +320,9 @@ def or_all(nodes: Iterable[Node]) -> Node:
     return out
 
 
-def renamed(root: Node, index: Mapping[int, int]) -> Node:
-    """Copy of ``root`` with every variable v replaced by ``Var(index[v])``.
+def renamed(root: Node, index: Mapping[int, Node]) -> Node:
+    """Copy of ``root`` with every variable v in ``index`` replaced by
+    ``index[v]``; a variable not in ``index`` stays.
 
     A post-order walk on an explicit stack, so any tree depth is safe. It
     never folds constants, so the copy has exactly the shape and size of
@@ -314,7 +343,7 @@ def renamed(root: Node, index: Mapping[int, int]) -> Node:
         if node.min_var == 0:
             done[key] = node
         elif kind is Var:
-            done[key] = Var(index[node.index])
+            done[key] = index.get(node.index, node)
         elif kind is Not:
             child = done.get(id(node.child))
             if child is None:
@@ -424,7 +453,7 @@ class Formula(_Record):
         if offset == 0:
             return self
         node = self.node
-        index = {v: v + offset for v in range(node.min_var, node.max_var + 1)}
+        index = {v: Var(v + offset) for v in range(node.min_var, node.max_var + 1)}
         return Formula(renamed(node, index), self.scope + offset)
 
     def negate(self) -> "Formula":

@@ -43,7 +43,7 @@ from .counting import (
     residue_of,
     restrict_residue,
 )
-from .formula import Formula, Node, _Record, renamed
+from .formula import Formula, Node, Var, _Record, renamed
 
 
 class SplitInstance(_Record):
@@ -265,8 +265,7 @@ def _relabel(instance: SplitInstance) -> Node:
     # x_vars[i] becomes i + 1 and the y block follows in ascending order;
     # the tree is reused when nothing moves
     order = instance.x_vars + tuple(sorted(instance.y_vars))
-    index = {v: i for i, v in enumerate(order, 1)}
     root = instance.formula.node
-    if all(v == i for v, i in index.items()):
+    if order == tuple(range(1, len(order) + 1)):
         return root
-    return renamed(root, index)
+    return renamed(root, {v: Var(i) for i, v in enumerate(order, 1)})

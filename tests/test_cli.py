@@ -18,6 +18,8 @@ from dmaxsat import (
     Witness,
     count_bruteforce,
     count_fast,
+    dmax_decide,
+    dmax_pruned,
     k_value,
     less_than_const,
     max_count,
@@ -143,7 +145,7 @@ def test_deep_conjunct_is_counted(run, tmp_path):
     # the psi gadget of a 1500-variable comparator is a single conjunct far
     # deeper than the default recursion limit, yet its search restricts the
     # chain only at its top; brute force evaluates the 3000-deep negation
-    # nest recursively, so that command runs again in the worker thread
+    # nest on an explicit stack once the recursive walk meets the limit
     path = tmp_path / "psi.ckt"
     path.write_text(print_circuit(psi_gadget(less_than_const(1500, 12345), 0)) + "\n")
     assert run("count", str(path), "--bound", "1") == (0, "yes\n", "")
@@ -155,18 +157,23 @@ def test_deep_conjunct_is_counted(run, tmp_path):
     assert run("count", str(path)) == (0, "1\n", "")
 
 
-def test_deep_shapes_that_still_need_the_retry(run, tmp_path):
-    # Node.restrict recurses down to the variable it sets: max_count sets
-    # the chooser x1 at the bottom of a 3000-deep negation nest, so it meets
-    # a recursion limit of 1000 in-process, and only the CLI's retry in its
-    # worker thread answers. The disjunction of pairs x(2i-1) and x(2i),
-    # i = m..1, a descending clause and an alternating chain with x1
-    # innermost are counted in-process: their memo lookups compare deep
+def test_deep_shapes_run_in_process(run, tmp_path):
+    # at a recursion limit of 1000 each shape is answered in-process.
+    # max_count, dmax_decide and dmax_pruned set the chooser x1 at the
+    # bottom of a 3000-deep negation nest, and brute force and evaluate
+    # walk a nest over x1: Node.restrict and Node.eval_mask fall back to
+    # walks on an explicit stack there. The disjunction of pairs x(2i-1)
+    # and x(2i), i = m..1, a descending clause and an alternating chain
+    # with x1 innermost are counted by memo lookups that compare deep
     # conjuncts by one walk on an explicit stack
     nest = Or(Var(1), Var(2))
     for _ in range(3000):
         nest = Not(nest)
     nest = Formula(nest, 2)
+    x1_nest = Var(1)
+    for _ in range(3000):
+        x1_nest = Not(x1_nest)
+    x1_nest = Formula(x1_nest, 1)
     m = 600
     pairs = Formula(or_all([And(Var(2 * i - 1), Var(2 * i)) for i in range(m, 0, -1)]), 2 * m)
     clause = Formula(or_all([Var(i) for i in range(1200, 0, -1)]), 1200)
@@ -177,8 +184,12 @@ def test_deep_shapes_that_still_need_the_retry(run, tmp_path):
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        with pytest.raises(RecursionError):
-            max_count(SplitInstance(nest, (1,), (2,), None))
+        best = max_count(SplitInstance(nest, (1,), (2,), None))
+        assert best == Witness((True,), 2)
+        bounded = SplitInstance(nest, (1,), (2,), 2)
+        assert dmax_decide(bounded) == best == dmax_pruned(bounded)
+        assert count_bruteforce(x1_nest) == 1
+        assert x1_nest.evaluate((True,)) and not x1_nest.evaluate((False,))
         assert count_fast(pairs) == 4**m - 3**m
         assert count_fast(clause) == 2**1200 - 1
         assert not threshold_check(clause, 2**1200)
@@ -205,7 +216,8 @@ def test_counts_of_any_length_print(run, tmp_path):
     assert run("count", str(ckt)) == (0, models + "\n", "")
     assert run("count", str(cnf), "--bound", models) == (0, "yes\n", "")
     assert run("count", str(cnf), "--bound", models + "1") == (0, "no\n", "")
-    # main restores what it raised for the command
+    # main leaves the recursion limit and stack size as they were, and
+    # restores the digit cap it lifted
     assert (sys.getrecursionlimit(), threading.stack_size()) == (depth, stack)
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == digits
 

@@ -21,6 +21,7 @@ from dmaxsat import (
     ScopeLimitError,
     SplitInstance,
     Var,
+    Witness,
     and_all,
     count_bruteforce,
     count_fast,
@@ -780,6 +781,61 @@ def test_deep_formulas_count_and_threshold_match_bruteforce(f):
     assert count_fast(f) == count
     assert threshold_check(f, count) and _cold(f, count)
     assert not threshold_check(f, count + 1) and not _cold(f, count + 1)
+
+
+@settings(max_examples=25)
+@given(deep_formulas(max_depth=8000), st.data())
+def test_formulas_deeper_than_the_recursion_limit_match_the_oracles(f, data):
+    # Hypothesis draws no list longer than 8192, so chains and nests reach
+    # depth 8000 here, past a recursion limit of 1000: restrictions and
+    # evaluations fall back to walks on an explicit stack
+    order = data.draw(st.permutations(range(1, f.scope + 1)))
+    k = data.draw(st.integers(0, f.scope))
+    instance = SplitInstance(f, tuple(order[:k]), tuple(order[k:]), None)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        count = count_bruteforce(f)
+        assert count_fast(f) == count
+        assert threshold_check(f, count) and not threshold_check(f, count + 1)
+        best = max_count(instance)
+        assert dmax_decide(instance.with_bound(best.achieved)) == best
+        assert dmax_decide(instance.with_bound(best.achieved + 1)) is None
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_nest_and_chain_with_the_chooser_innermost_are_solved_in_process():
+    # x1 at the bottom of a 10,000-deep negation nest, and innermost in a
+    # 10,000-link alternating chain: every engine restricts it there. The
+    # chain's counts under x1 = 0 and x1 = 1 differ by one, so x1 = 1 is
+    # the best chooser, with (models + 1) / 2 models
+    nest = Or(X1, X2)
+    for _ in range(10_000):
+        nest = Not(nest)
+    nest = Formula(nest, 2)
+    n = 10_000
+    chain, models = X1, 1
+    for i in range(2, n + 1):
+        chain = Or(Var(i), chain) if i % 2 else And(Var(i), chain)
+        models += (1 << (i - 1)) if i % 2 else 0
+    chain = Formula(chain, n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        for f, best in ((nest, Witness((True,), 2)), (chain, Witness((True,), (models + 1) // 2))):
+            instance = SplitInstance(f, (1,), tuple(range(2, f.scope + 1)), None)
+            assert max_count(instance, limit=n) == best
+            bounded = instance.with_bound(best.achieved)
+            assert dmax_decide(bounded, limit=n) == best == dmax_pruned(bounded, limit=n)
+            above = instance.with_bound(best.achieved + 1)
+            assert dmax_decide(above, limit=n) is None is dmax_pruned(above, limit=n)
+        assert count_bruteforce(nest) == 3 == count_fast(nest)
+        assert [nest.evaluate((x1, False)) for x1 in (False, True)] == [False, True]
+        assert count_fast(chain) == models
+        assert threshold_check(chain, models) and not threshold_check(chain, models + 1)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 @settings(max_examples=80)

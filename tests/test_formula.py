@@ -28,7 +28,7 @@ from dmaxsat import (
     print_circuit,
 )
 import dmaxsat
-from dmaxsat.formula import _Const
+from dmaxsat.formula import _Const, renamed
 
 from strategies import deep_formulas, formulas
 
@@ -260,6 +260,70 @@ def test_deep_trees_compare_by_one_walk():
     for _ in range(100_000):
         a, b = Not(a), Not(b)
     assert a is not b and a == b and not a != b
+
+
+def _at_limit_1000(test):
+    # run test at a recursion limit of 1000, below every deep tree here
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        test()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("depth", [3000, 3001])
+def test_restrict_past_the_recursion_limit_agrees_with_the_original(depth):
+    # an alternating chain over x1..x4, each variable all along it, under a
+    # negation nest: each restriction meets the limit and is a renamed copy,
+    # with nothing folded
+    chain = Var(1)
+    for i in range(1, 3000):
+        chain = (And, Or)[i % 2](Var(i % 4 + 1), chain)
+    node = chain
+    for _ in range(depth):
+        node = Not(node)
+
+    def check():
+        for var in range(1, 5):
+            bit = 1 << (var - 1)
+            for value in (False, True):
+                restricted = node.restrict(var, value)
+                assert restricted.ops == node.ops
+                for mask in range(16):
+                    expected = node.eval_mask(mask | bit if value else mask & ~bit)
+                    assert restricted.eval_mask(mask) == expected
+
+    _at_limit_1000(check)
+
+
+@pytest.mark.parametrize("depth", [5000, 5001])
+def test_eval_mask_past_the_recursion_limit_gives_the_closed_form(depth):
+    # a negation nest over (or x1 x2) is x1 | x2, flipped at odd depth; a
+    # conjunction and a disjunction chain over x1..x3 are x1 & x2 & x3 and
+    # x1 | x2 | x3, so every short-circuit of And and Or is taken
+    nest = Or(Var(1), Var(2))
+    for _ in range(depth):
+        nest = Not(nest)
+    variables = [Var(i % 3 + 1) for i in range(depth)]
+    conjunction, disjunction = and_all(variables), or_all(variables)
+
+    def check():
+        for mask in range(8):
+            assert nest.eval_mask(mask) == (bool(mask & 3) != depth % 2)
+            assert conjunction.eval_mask(mask) == (mask == 7)
+            assert disjunction.eval_mask(mask) == (mask != 0)
+
+    _at_limit_1000(check)
+
+
+def test_renamed_to_a_constant_keeps_shape_and_unmapped_variables():
+    shared = Or(Var(1), Not(Var(2)))
+    node = And(shared, Or(Var(3), And(shared, Var(1))))
+    copy = renamed(node, {1: TRUE})
+    assert copy == And(Or(TRUE, Not(Var(2))), Or(Var(3), And(Or(TRUE, Not(Var(2))), TRUE)))
+    assert copy.ops == node.ops and copy.left is copy.right.right.left
+    assert renamed(node, {}) == node
 
 
 def test_fold_helpers():

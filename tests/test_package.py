@@ -60,8 +60,10 @@ def test_import_loads_no_submodule_and_names_resolve_on_first_use():
     assert (proc.returncode, proc.stdout) == (0, "ok\n"), proc.stderr
 
 
-# what count, count --bound and size never need
+# what count, count --bound and size never need; no command needs threads
 _UNUSED = (
+    "threading",
+    "concurrent.futures",
     "dataclasses",
     "inspect",
     "json",
@@ -103,14 +105,18 @@ def test_count_and_size_load_only_what_they_run(tmp_path, argv):
         ["maxcount", "f.ckt", "x: 1"],
         ["dmax", "f.ckt", "x: 1", "--bound", "2"],
         ["dmax", "f.cnf", "x: 2", "--bound", "2", "--engine", "plain"],
+        ["maxcount", "nest.ckt", "x: 1"],
     ],
     ids=" ".join,
 )
 def test_solver_commands_load_the_solver_and_no_dataclasses(tmp_path, argv):
     # SplitInstance and Witness are records (dmaxsat.formula._Record), so of
-    # the modules count never needs, the solver's commands load only the solver
+    # the modules count never needs, the solver's commands load only the
+    # solver; the chooser x1 at the bottom of a 3000-deep negation nest is
+    # set in process, with no thread
     (tmp_path / "f.cnf").write_text("p cnf 3 2\n1 -2 0\n2 3 0\n")
     (tmp_path / "f.ckt").write_text("(scope 3) (or x1 (and x2 x3))\n")
+    (tmp_path / "nest.ckt").write_text("(scope 2) " + "(not " * 3000 + "(or x1 x2)" + ")" * 3000 + "\n")
     proc = _python(_LOADED, *argv, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 ['dmaxsat.solver']"
@@ -135,7 +141,8 @@ def test_record_building_commands_load_no_dataclasses(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     code, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
     assert code == "0"
-    assert "'dataclasses'" not in loaded and "'inspect'" not in loaded, loaded
+    for name in ("dataclasses", "inspect", "threading", "concurrent.futures"):
+        assert repr(name) not in loaded, loaded
 
 
 def test_importing_every_submodule_loads_no_dataclasses():
