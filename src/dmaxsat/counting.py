@@ -65,10 +65,12 @@ DEFAULT_LIMIT = 24
 
 # A residue whose variables all lie in v..v+w-1, with w at most this, is
 # counted by one walk over 2**w-bit truth tables, in the chooser block too.
-# Width 12 counts faster still, but bench/run.py keeps a record of about
-# 100 bytes per timed query, and the extra queries of its count workload
-# then read as more peak memory than the benchmark's bound allows.
-TABLE_WIDTH = 10
+# A walk holds one table per distinct operator node: 512 bytes at w = 12.
+# At 12 a random 3-CNF over 12 variables is one table, where width 10 took
+# about four tables and six restrictions, and count_fast is about 4x faster
+# on such formulas. Widths 13 and 14 were no faster on them, nor clearly on
+# gadget queries, and they double or quadruple each table.
+TABLE_WIDTH = 12
 
 Residue = tuple[Node, ...]
 

@@ -2,6 +2,7 @@
 test modules."""
 
 import functools
+import random
 
 import hypothesis.strategies as st
 import pytest
@@ -104,6 +105,11 @@ def comparator_formulas(draw, max_width: int = 10) -> Formula:
     return f
 
 
+# the most links a chain draws one by one: at three choices a link, they
+# fit in Hypothesis's buffer of 8192 choices
+DRAWN_LINKS = 2000
+
+
 @st.composite
 def deep_formulas(draw, max_scope: int = 10, max_depth: int = 150) -> Formula:
     """Trees up to about max_depth deep over a scope of at most max_scope: a
@@ -111,24 +117,36 @@ def deep_formulas(draw, max_scope: int = 10, max_depth: int = 150) -> Formula:
     base, or a negation nest over a chain. A chain's links alternate And and
     Or, as less_than_const's do, or are drawn. Its variables repeat along
     the chain, and they ascend from the base up (the lowest innermost),
-    descend, or come in drawn order."""
+    descend, or come in drawn order. A drawn chain has at most
+    DRAWN_LINKS links; a seeded chain draws only its length and a seed,
+    builds its links from the seed, and reaches the full max_depth."""
     scope = draw(st.integers(1, max_scope))
     node = draw(nodes(scope, max_leaves=4))
-    shape = draw(st.sampled_from(["chain", "nest", "nested chain"]))
+    shape = draw(st.sampled_from(["chain", "seeded chain", "nest", "nested chain"]))
     if shape != "nest":
-        length = draw(st.integers(1, max_depth))
-        variables = draw(st.lists(st.integers(1, scope), min_size=length, max_size=length))
+        if shape == "seeded chain":
+            length = draw(st.integers(1, max_depth))
+            rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+            variables = [rng.randint(1, scope) for _ in range(length)]
+            negated = [rng.random() < 0.5 for _ in range(length)]
+            seeded_kinds = [rng.choice((And, Or)) for _ in range(length)]
+        else:
+            length = draw(st.integers(1, min(max_depth, DRAWN_LINKS)))
+            variables = draw(st.lists(st.integers(1, scope), min_size=length, max_size=length))
+            negated = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+            seeded_kinds = None
         order = draw(st.sampled_from(["ascending", "descending", "drawn"]))
         if order != "drawn":
             variables.sort(reverse=order == "descending")
-        negated = draw(st.lists(st.booleans(), min_size=length, max_size=length))
         if draw(st.booleans()):
             kinds = [(And, Or)[i % 2] for i in range(length)]
         else:
-            kinds = draw(st.lists(st.sampled_from([And, Or]), min_size=length, max_size=length))
+            kinds = seeded_kinds or draw(
+                st.lists(st.sampled_from([And, Or]), min_size=length, max_size=length)
+            )
         for v, neg, kind in zip(variables, negated, kinds):
             node = kind(Not(Var(v)) if neg else Var(v), node)
-    if shape != "chain":
+    if shape in ("nest", "nested chain"):
         for _ in range(draw(st.integers(1, max_depth))):
             node = Not(node)
     return Formula(node, scope)

@@ -343,17 +343,40 @@ def _chain(low, high):
     return and_all([*links, Or(Var(low), Var(high))])
 
 
-@pytest.mark.parametrize("extra", [0, 1], ids=["TABLE_WIDTH", "TABLE_WIDTH + 1"])
-def test_only_a_residue_within_the_table_width_is_counted_from_its_table(monkeypatch, extra):
-    # a chain over x1..xw is counted outright, with no restriction and one
-    # memo entry, when w is the table width; one variable more is split
+def _span(residue):
+    # the lowest and the highest variable of a nonempty residue
+    return residue[0].min_var, max(c.max_var for c in residue)
+
+
+def _cnf(w):
+    # a random 3-CNF over x1..xw, seeded by w
+    return parse_dimacs(random_3cnf(random.Random(w), w, 3.0).text()).node
+
+
+@pytest.mark.parametrize(
+    "shape, extra",
+    [(partial(_chain, 1), 0), (partial(_chain, 1), 1), (_cnf, 0), (_cnf, 1)],
+    ids=["TABLE_WIDTH", "TABLE_WIDTH + 1", "3-CNF, TABLE_WIDTH", "3-CNF, TABLE_WIDTH + 1"],
+)
+def test_only_a_residue_within_the_table_width_is_counted_from_its_table(
+    monkeypatch, shape, extra
+):
+    # a chain or a random 3-CNF spanning x1..xw is counted outright, from
+    # one table with no restriction and one memo entry, when w is the table
+    # width; one variable more is split
     w = dmaxsat.counting.TABLE_WIDTH + extra
-    node = _chain(1, w)
+    node = shape(w)
+    residue = residue_of(node)
+    assert _span(residue) == (1, w)
+    tables = _calls(monkeypatch, "_table_count")
     restricts = _calls(monkeypatch, "restrict_residue")
     memo = {}
-    assert count_residue(residue_of(node), 1, w, memo, None) == w
-    assert (restricts == [] and list(memo) == [residue_of(node)]) == (extra == 0)
-    assert count_bruteforce(Formula(node, w)) == w
+    count = count_residue(residue, 1, w, memo, None)
+    assert count == count_bruteforce(Formula(node, w))
+    if extra:
+        assert restricts and len(memo) > 1
+    else:
+        assert len(tables) == 1 and restricts == [] and list(memo) == [residue]
 
 
 CONSTANT_LEAVES = {
@@ -441,10 +464,10 @@ def test_deep_negation_nest_is_one_table():
         sys.setrecursionlimit(limit)
 
 
-@pytest.mark.parametrize("n", [11, 13, 15])
+@pytest.mark.parametrize("n", [13, 14, 15])
 @at_each_width
 def test_seeded_formulas_above_the_table_width_match_the_oracles(n):
-    # scope 11..15: the search splits the top variables and reaches tables
+    # scope 13..15: the search splits the top variables and reaches tables
     # below them (with tables on), or splits down to its leaves (off)
     rng = random.Random(n)
     cnf = parse_dimacs(random_3cnf(rng, n, 3.0).text())
@@ -617,13 +640,17 @@ def _against_the_reference(instance):
 
 
 # random trees over x_low..x_top under the chooser block x1..xk of a scope:
-# (low, top, k, scope)
+# (low, top, k, scope). The last two span the full table width, every
+# variable a chooser or the block ending half way
+W = dmaxsat.counting.TABLE_WIDTH
 CHOOSER_TABLES = {
     "top < k": (1, 3, 5, 6),
     "top == k": (1, 4, 4, 6),
     "top > k": (1, 6, 3, 8),
     "above x1, top > k": (3, 8, 4, 9),
     "above x1, top < k": (2, 4, 6, 6),
+    "full width, all choosers": (1, W, W, W + 1),
+    "full width, above x1, top > k": (2, W + 1, W // 2, W + 2),
 }
 
 
@@ -633,15 +660,18 @@ def test_chooser_block_tables_match_the_reference(shape):
     # a residue starting in the chooser block and spanning at most
     # TABLE_WIDTH variables is one table, maximized over its chooser
     # variables; one above top adds no factor two. The value is the
-    # reference's best, and the root's entry is exact under any cap
+    # reference's best, and the root's entry is exact under any cap. Some
+    # of the drawn trees span all of x_low..x_top
     low, top, k, scope = shape
     rng = random.Random(top * 10 + k)
+    spanning = 0
     for _ in range(25):
         node = random_formula(rng, top - low + 1, 14).shift(low - 1).node
         f = Formula(node, scope)
         instance = SplitInstance(f, tuple(range(1, k + 1)), tuple(range(k + 1, scope + 1)))
         best = _against_the_reference(instance)
         residue = residue_of(node)
+        spanning += bool(residue) and _span(residue) == (low, top)
         for cap in (None, 1, best, best + 1):
             memo = {}
             value = count_residue(residue, 1, scope, memo, cap, k)
@@ -649,6 +679,7 @@ def test_chooser_block_tables_match_the_reference(shape):
             if residue and dmaxsat.counting.TABLE_WIDTH:
                 v = residue[0].min_var
                 assert memo == {residue: best >> max(v - k - 1, 0)}
+    assert spanning
 
 
 def test_lower_bound_is_replaced_by_the_exact_table_value(monkeypatch):
@@ -784,11 +815,11 @@ def test_deep_formulas_count_and_threshold_match_bruteforce(f):
 
 
 @settings(max_examples=25)
-@given(deep_formulas(max_depth=8000), st.data())
+@given(deep_formulas(max_depth=10_000), st.data())
 def test_formulas_deeper_than_the_recursion_limit_match_the_oracles(f, data):
-    # Hypothesis draws no list longer than 8192, so chains and nests reach
-    # depth 8000 here, past a recursion limit of 1000: restrictions and
-    # evaluations fall back to walks on an explicit stack
+    # seeded chains and nests reach depth 10,000 here, past a recursion
+    # limit of 1000: restrictions and evaluations fall back to walks on an
+    # explicit stack
     order = data.draw(st.permutations(range(1, f.scope + 1)))
     k = data.draw(st.integers(0, f.scope))
     instance = SplitInstance(f, tuple(order[:k]), tuple(order[k:]), None)
@@ -887,19 +918,22 @@ def test_kept_memo_answers_every_sequence_exactly(fs, data):
 def test_threshold_after_a_count_reads_the_root(monkeypatch):
     # thresholds on an equal, separately parsed copy of the formula last
     # counted are answered by the kept memo's root entry: no restriction
+    # and no table
     cnf = random_3cnf(random.Random(1), 12, 3.0)
     f = parse_dimacs(cnf.text())
     count = count_fast(f)
     assert count > 0
-    calls = _calls(monkeypatch, "restrict_residue")
+    tables = _calls(monkeypatch, "_table_count")
+    restricts = _calls(monkeypatch, "restrict_residue")
     copy = parse_dimacs(cnf.text())
     assert copy.node is not f.node
     assert threshold_check(copy, count)
     assert not threshold_check(copy, count + 1)
-    assert calls == []
-    # the same node under one more scope variable is another formula
+    assert tables == restricts == []
+    # the same node under one more scope variable is another formula, a
+    # miss that is split or counted from a table
     assert threshold_check(Formula(copy.node, 13), 2 * count)
-    assert calls
+    assert tables or restricts
 
 
 def test_one_counted_memo_is_kept():
